@@ -1,7 +1,8 @@
 //! Kernel-layer micro-measurements shared by `benches/kernels.rs` and the
 //! `bench_matrix` binary: NTT strict vs lazy reduction, limb-scratch
-//! allocation vs arena recycling, and the two composite kernels they feed
-//! (rescale, rotation key-switch).
+//! allocation vs arena recycling, the fused giant-step accumulation
+//! against the per-term MACs it replaced, and the two composite kernels
+//! they feed (rescale, rotation key-switch).
 //!
 //! Everything here is single-ciphertext work; the interesting ratios are
 //! thread-independent, which is why `bench_matrix` runs them once in the
@@ -143,6 +144,79 @@ fn simd_benches(c: &mut Criterion) {
     }
 }
 
+/// Rotated terms per giant-step group in `serve-mlp`'s dense layers.
+pub const GROUP_TERMS: usize = 46;
+
+/// One limb of a giant-step group: the plaintext diagonals, the three
+/// operand streams (`ks_b`, `ks_a`, `σ(c0)`) and their accumulators.
+struct GroupLimb {
+    q: u64,
+    pts: Vec<Vec<u64>>,
+    streams: [Vec<Vec<u64>>; 3],
+    acc: [Vec<u64>; 3],
+}
+
+/// The giant-step group shape of `serve-mlp` (N = 2¹², the 9 chain limbs
+/// of `CkksParams::small()` plus the special prime, [`GROUP_TERMS`] rotated
+/// terms): the fused `diag_accum` kernel against the three per-term
+/// `add_mul` sweeps it replaced, per dispatch variant. The operands total
+/// ~60 MB, so both paths stream from memory as they do when serving.
+fn giant_step_benches(c: &mut Criterion) {
+    let ctx = Context::new(CkksParams::small());
+    let n = ctx.degree();
+    let mut rng = StdRng::seed_from_u64(0x9a11);
+    let mut draw = |q: u64, count: usize| -> Vec<Vec<u64>> {
+        (0..count)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect())
+            .collect()
+    };
+    let mut limbs: Vec<GroupLimb> = ctx
+        .moduli
+        .iter()
+        .copied()
+        .chain([ctx.special])
+        .map(|q| GroupLimb {
+            q,
+            pts: draw(q, GROUP_TERMS),
+            streams: std::array::from_fn(|_| draw(q, GROUP_TERMS)),
+            acc: std::array::from_fn(|_| vec![0u64; n]),
+        })
+        .collect();
+    for k in simd::variants() {
+        let mut g = c.benchmark_group("giant_step");
+        g.sample_size(10);
+        g.bench_function(&format!("fused/{}/{n}", k.name), |b| {
+            b.iter(|| {
+                for limb in limbs.iter_mut() {
+                    let pts: Vec<&[u64]> = limb.pts.iter().map(Vec::as_slice).collect();
+                    let xs: Vec<Vec<&[u64]>> = limb
+                        .streams
+                        .iter()
+                        .map(|s| s.iter().map(Vec::as_slice).collect())
+                        .collect();
+                    let xs: Vec<&[&[u64]]> = xs.iter().map(Vec::as_slice).collect();
+                    let [b_ext, a_ext, b_base] = &mut limb.acc;
+                    (k.diag_accum)(&mut [b_ext, a_ext, b_base], &pts, &xs, limb.q);
+                }
+                limbs[0].acc[0][0]
+            })
+        });
+        g.bench_function(&format!("add_mul/{}/{n}", k.name), |b| {
+            b.iter(|| {
+                for limb in limbs.iter_mut() {
+                    for t in 0..GROUP_TERMS {
+                        for (acc, s) in limb.acc.iter_mut().zip(&limb.streams) {
+                            (k.add_mul)(acc, &s[t], &limb.pts[t], limb.q);
+                        }
+                    }
+                }
+                limbs[0].acc[0][0]
+            })
+        });
+        g.finish();
+    }
+}
+
 fn composite_benches(c: &mut Criterion) {
     // Rescale at N = 2¹³ (the degree the lazy bar is set at): dominated by
     // one inverse NTT + per-limb correction + forward NTTs.
@@ -187,6 +261,7 @@ fn composite_benches(c: &mut Criterion) {
 pub fn measure_kernels(c: &mut Criterion) {
     ntt_benches(c);
     simd_benches(c);
+    giant_step_benches(c);
     scratch_benches(c);
     composite_benches(c);
 }
@@ -259,6 +334,41 @@ pub fn kernel_summary(c: &Criterion) -> Vec<(String, Value)> {
             ));
         }
     }
+    // The fused giant-step kernel at the serve-mlp group shape: per-term
+    // cost (all limbs) of each path, the fused-vs-add_mul ratio per
+    // variant, and the fused kernel's simd-vs-scalar ratio.
+    let n = 1 << 12;
+    for k in &variants {
+        let fused = median(c, &format!("giant_step/fused/{}/{n}", k.name));
+        let add_mul = median(c, &format!("giant_step/add_mul/{}/{n}", k.name));
+        let per_term = |ns: f64| Value::Num(round2(ns / GROUP_TERMS as f64));
+        fields.push((
+            format!("giant_step_fused_{}_ns_per_term_{n}", k.name),
+            per_term(fused),
+        ));
+        fields.push((
+            format!("giant_step_add_mul_{}_ns_per_term_{n}", k.name),
+            per_term(add_mul),
+        ));
+        fields.push((
+            format!("giant_step_fused_vs_add_mul_{}_{n}", k.name),
+            Value::Num(round2(add_mul / fused)),
+        ));
+    }
+    let scalar_fused = median(c, &format!("giant_step/fused/scalar/{n}"));
+    let best_fused = variants
+        .iter()
+        .filter(|k| k.name != "scalar")
+        .map(|k| median(c, &format!("giant_step/fused/{}/{n}", k.name)))
+        .fold(f64::NAN, f64::min);
+    fields.push((
+        format!("simd_vs_scalar_giant_step_{n}"),
+        Value::Num(if best_fused.is_nan() {
+            1.0
+        } else {
+            round2(scalar_fused / best_fused)
+        }),
+    ));
     fields.push((
         "rescale_ns_8192".to_string(),
         Value::Num(median(c, "rescale/n8192")),

@@ -1,4 +1,4 @@
-//! The bootstrap substitute (see DESIGN.md §2).
+//! The bootstrap substitute, and why it is a faithful one (argued below).
 //!
 //! The paper's backend (Lattigo) implements full CKKS bootstrapping —
 //! ModRaise, CoeffToSlot, EvalMod, SlotToCoeff — consuming `L_boot ≈ 13–15`

@@ -11,6 +11,12 @@
 //! extended basis with one deferred ModDown each. Weights are encoded at
 //! prime scale so each linear layer consumes exactly one level and returns
 //! the ciphertext scale to precisely Δ.
+//!
+//! All four double-hoisted executors — on the fly or prepared, private or
+//! [`SharedRotations`] — gather the same giant-step work lists and run one
+//! core (`giant_step_parts`): the fused lazy accumulation of every group
+//! ([`ExtAccumulator::add_groups`]), then per-group ModDown and giant
+//! rotation, then the per-output-block sum, rescale and bias.
 
 use crate::plan::LinearPlan;
 use crate::prepared::PreparedLayer;
@@ -18,7 +24,7 @@ use crate::values::DiagSource;
 use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::{Ciphertext, Plaintext};
 use orion_ckks::eval::Evaluator;
-use orion_ckks::hoist::{ExtAccumulator, HoistedDigits, RotatedExt};
+use orion_ckks::hoist::{ExtAccumulator, HoistedDigits, RotatedExt, Term};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -186,6 +192,12 @@ pub fn exec_fhe_unhoisted(
 /// Executes a plan homomorphically. Inputs must share one level and scale
 /// Δ; outputs are one level lower at exactly scale Δ (single-shot: even
 /// strided convolutions consume one level — paper §4).
+///
+/// Every input ciphertext that rotates is hoisted once (shared digit
+/// decomposition), and each distinct baby-step rotation's key-switch inner
+/// product is computed once in the extended basis, shared across every
+/// diagonal that uses it (Bossuat et al. Algorithm 6). Diagonals are
+/// encoded on the fly, one pool-width chunk of giant-step groups at a time.
 pub fn exec_fhe(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
@@ -193,74 +205,7 @@ pub fn exec_fhe(
     bias: Option<&[Vec<f64>]>,
     inputs: &[Ciphertext],
 ) -> Vec<Ciphertext> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let level = inputs[0].level();
-    let slots = plan.slots;
-    assert_eq!(
-        slots,
-        ctx.eval.context().slots(),
-        "plan/context slot mismatch"
-    );
-    let n1 = plan.n1;
-    // Hoist every input ciphertext once (shared digit decomposition), and
-    // compute each distinct baby-step rotation's key-switch inner product
-    // once in the extended basis, shared across every diagonal that uses
-    // that rotation (Bossuat et al. Algorithm 6).
-    let hoisted: Vec<HoistedDigits> = inputs
-        .iter()
-        .map(|ct| HoistedDigits::new(ctx.eval.context(), ct))
-        .collect();
-    let mut rotations: std::collections::HashMap<(u32, usize), RotatedExt> =
-        std::collections::HashMap::new();
-    // Giant-step groups with lazy ModDown.
-    let mut groups: BTreeMap<(u32, usize), ExtAccumulator> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            let pt = ctx.enc.encode_at_prime_scale_ws(d, level);
-            let rot = rotations
-                .entry((j_blk, i))
-                .or_insert_with(|| hoisted[j_blk as usize].rotate_ext(ctx.eval, i as isize));
-            let acc = groups
-                .entry((i_blk, j))
-                .or_insert_with(|| ExtAccumulator::new(ctx.eval.context(), level));
-            acc.add_pmult_rotated(ctx.eval, rot, &pt);
-        }
-    }
-    // Finalize groups, giant-rotate, sum per output block, rescale.
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, j), acc) in groups {
-        let mut part = acc.finalize(ctx.eval);
-        let g = (j * n1) % slots;
-        if g != 0 {
-            part = ctx.eval.rotate(&part, g as isize);
-        }
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(|| {
-                // an output block no diagonal touches: encrypt-free zero via
-                // multiplying an input by the zero plaintext
-                let zero = ctx.enc.encode_at_prime_scale_ws(&vec![0.0; slots], level);
-                ctx.eval.mul_plain(&inputs[0], &zero)
-            });
-            ctx.eval.rescale_assign(&mut ct);
-            if let Some(b) = bias {
-                let pt = ctx.enc.encode(&b[i_blk], ct.scale, ct.level(), false);
-                ct = ctx.eval.add_plain(&ct, &pt);
-            }
-            ct
-        })
-        .collect()
+    exec_values(ctx, plan, source, bias, inputs, None)
 }
 
 /// Baby-step rotations of one wire's ciphertexts, computed once and shared
@@ -327,8 +272,7 @@ impl SharedRotations {
 /// [`exec_fhe`] reading its non-zero baby-step rotations from a
 /// [`SharedRotations`] instead of hoisting privately — the consumer side
 /// of cross-wire rotation CSE. Bit-identical to [`exec_fhe`]: the shared
-/// entries are the same pure-function values, and the accumulation order
-/// (plan order) is unchanged.
+/// entries are the same pure-function values, and modular sums are exact.
 pub fn exec_fhe_shared(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
@@ -337,72 +281,13 @@ pub fn exec_fhe_shared(
     inputs: &[Ciphertext],
     shared: &SharedRotations,
 ) -> Vec<Ciphertext> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let level = inputs[0].level();
-    let slots = plan.slots;
-    assert_eq!(
-        slots,
-        ctx.eval.context().slots(),
-        "plan/context slot mismatch"
-    );
-    let n1 = plan.n1;
-    // Rotation-by-0 views built locally (no key-switch involved).
-    let mut identities: HashMap<u32, RotatedExt> = HashMap::new();
-    let mut groups: BTreeMap<(u32, usize), ExtAccumulator> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            let pt = ctx.enc.encode_at_prime_scale_ws(d, level);
-            let rot = if i == 0 {
-                identities
-                    .entry(j_blk)
-                    .or_insert_with(|| RotatedExt::identity(&inputs[j_blk as usize]))
-            } else {
-                shared.get(j_blk, i)
-            };
-            let acc = groups
-                .entry((i_blk, j))
-                .or_insert_with(|| ExtAccumulator::new(ctx.eval.context(), level));
-            acc.add_pmult_rotated(ctx.eval, rot, &pt);
-        }
-    }
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, j), acc) in groups {
-        let mut part = acc.finalize(ctx.eval);
-        let g = (j * n1) % slots;
-        if g != 0 {
-            part = ctx.eval.rotate(&part, g as isize);
-        }
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(|| {
-                let zero = ctx.enc.encode_at_prime_scale_ws(&vec![0.0; slots], level);
-                ctx.eval.mul_plain(&inputs[0], &zero)
-            });
-            ctx.eval.rescale_assign(&mut ct);
-            if let Some(b) = bias {
-                let pt = ctx.enc.encode(&b[i_blk], ct.scale, ct.level(), false);
-                ct = ctx.eval.add_plain(&ct, &pt);
-            }
-            ct
-        })
-        .collect()
+    exec_values(ctx, plan, source, bias, inputs, Some(shared))
 }
 
 /// [`exec_fhe_prepared`] reading its non-zero baby-step rotations from a
-/// [`SharedRotations`]: stage 1 (the per-consumer rotation fan-out)
-/// disappears entirely — only the rotation-by-0 views remain local — and
-/// the giant-step groups run as before. Bit-identical to the private-hoist
+/// [`SharedRotations`]: the per-consumer rotation fan-out disappears
+/// entirely — only the rotation-by-0 views remain local — and the
+/// giant-step groups run as before. Bit-identical to the private-hoist
 /// path for the same reason as [`exec_fhe_shared`].
 pub fn exec_fhe_prepared_shared(
     ctx: &FheLinearContext<'_>,
@@ -411,80 +296,7 @@ pub fn exec_fhe_prepared_shared(
     inputs: &[Ciphertext],
     shared: &SharedRotations,
 ) -> Vec<Ciphertext> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let level = inputs[0].level();
-    assert_eq!(
-        level, prepared.level,
-        "inputs must arrive at the prepared level"
-    );
-    let slots = plan.slots;
-    assert_eq!(
-        slots,
-        ctx.eval.context().slots(),
-        "plan/context slot mismatch"
-    );
-    let n1 = plan.n1;
-    let mut zero_blocks: BTreeSet<u32> = BTreeSet::new();
-    let mut groups: BTreeMap<(u32, usize), GroupTerms<'_>> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let Some(block) = prepared.diags.get(&(i_blk, j_blk)) else {
-            continue;
-        };
-        for &k in diags {
-            let Some(pt) = block.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            if i == 0 {
-                zero_blocks.insert(j_blk);
-            }
-            groups.entry((i_blk, j)).or_default().push(((j_blk, i), pt));
-        }
-    }
-    // Rotation-by-0 views: local clones, no key-switch.
-    let identities: HashMap<u32, RotatedExt> = zero_blocks
-        .into_iter()
-        .map(|j_blk| (j_blk, RotatedExt::identity(&inputs[j_blk as usize])))
-        .collect();
-    let group_vec: Vec<((u32, usize), GroupTerms<'_>)> = groups.into_iter().collect();
-    let parts: Vec<((u32, usize), Ciphertext)> = group_vec
-        .par_iter()
-        .map(|((i_blk, j), terms)| {
-            let mut acc = ExtAccumulator::new(ctx.eval.context(), level);
-            for &((j_blk, i), pt) in terms {
-                let rot = if i == 0 {
-                    &identities[&j_blk]
-                } else {
-                    shared.get(j_blk, i)
-                };
-                acc.add_pmult_rotated(ctx.eval, rot, pt);
-            }
-            let mut part = acc.finalize(ctx.eval);
-            let g = (j * n1) % slots;
-            if g != 0 {
-                part = ctx.eval.rotate(&part, g as isize);
-            }
-            ((*i_blk, *j), part)
-        })
-        .collect();
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, _), part) in parts {
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(|| ctx.eval.mul_plain(&inputs[0], &prepared.zero));
-            ctx.eval.rescale_assign(&mut ct);
-            if let Some(bias) = &prepared.bias {
-                ct = ctx.eval.add_plain(&ct, &bias[i_blk]);
-            }
-            ct
-        })
-        .collect()
+    exec_prepared(ctx, plan, prepared, inputs, Some(shared))
 }
 
 /// Cleartext counterpart of [`SharedRotations`]: pre-rotated slot vectors
@@ -549,101 +361,131 @@ pub fn exec_plain_parallel_shared(
     out
 }
 
-/// One giant-step group's work list: `((input block, baby step), cached
-/// plaintext)` per diagonal, in plan order.
-type GroupTerms<'p> = Vec<((u32, usize), &'p Plaintext)>;
+/// `(output block, giant step)`: one giant-step group.
+type GroupKey = (u32, usize);
 
-/// Executes a plan homomorphically from a [`PreparedLayer`]: identical
-/// math to [`exec_fhe`] (modular arithmetic is exact, so the result is
-/// bit-for-bit the same) but with **zero plaintext encodes** — every
-/// diagonal, bias block, and the zero plaintext come from the setup-time
-/// cache — and with the two expensive per-request stages fanned out on the
-/// shared rayon pool:
-///
-/// 1. the distinct baby-step `rotate_ext` key-switch inner products
-///    (independent per `(input block, baby step)`), and
-/// 2. the per-giant-step [`ExtAccumulator`] groups (independent per
-///    `(output block, giant step)`), each finishing with its own deferred
-///    ModDown and giant rotation.
-///
-/// This lands the ROADMAP "per-wire (intra-inference) parallel scheduling"
-/// item for linear layers — the dominant cost of a served inference.
-pub fn exec_fhe_prepared(
-    ctx: &FheLinearContext<'_>,
-    plan: &LinearPlan,
-    prepared: &PreparedLayer,
-    inputs: &[Ciphertext],
-) -> Vec<Ciphertext> {
+/// `(input block, baby step)`: one baby-step rotation.
+type RotKey = (u32, usize);
+
+/// Every giant-step group's work list in plan order: `(rotation,
+/// diagonal)` per term, the diagonal a cleartext vector (on-the-fly
+/// executors) or a cached plaintext (prepared executors).
+type Groups<D> = BTreeMap<GroupKey, Vec<(RotKey, D)>>;
+
+/// [`Groups`] flattened into a list, in group order.
+type GroupList<D> = Vec<(GroupKey, Vec<(RotKey, D)>)>;
+
+/// Splits diagonal `k` of input block `j_blk` into its rotation and group.
+fn split_diag(plan: &LinearPlan, i_blk: u32, j_blk: u32, k: u32) -> (GroupKey, RotKey) {
+    let (i, j) = ((k as usize) % plan.n1, (k as usize) / plan.n1);
+    ((i_blk, j), (j_blk, i))
+}
+
+/// The level the inputs share, after checking them against the plan.
+fn input_level(ctx: &FheLinearContext<'_>, plan: &LinearPlan, inputs: &[Ciphertext]) -> usize {
     assert_eq!(inputs.len(), plan.in_blocks);
-    let level = inputs[0].level();
     assert_eq!(
-        level, prepared.level,
-        "inputs must arrive at the prepared level"
-    );
-    let slots = plan.slots;
-    assert_eq!(
-        slots,
+        plan.slots,
         ctx.eval.context().slots(),
         "plan/context slot mismatch"
     );
-    let n1 = plan.n1;
-    // One digit decomposition per input ciphertext (internally
-    // limb-parallel already).
-    let hoisted: Vec<HoistedDigits> = inputs
-        .iter()
-        .map(|ct| HoistedDigits::new(ctx.eval.context(), ct))
-        .collect();
-    // Gather the work lists: distinct baby-step rotations and the terms of
-    // every giant-step group, in the same deterministic plan order the
-    // on-the-fly executor uses.
-    let mut rot_set: BTreeSet<(u32, usize)> = BTreeSet::new();
-    let mut groups: BTreeMap<(u32, usize), GroupTerms<'_>> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let Some(block) = prepared.diags.get(&(i_blk, j_blk)) else {
-            continue;
-        };
-        for &k in diags {
-            let Some(pt) = block.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            rot_set.insert((j_blk, i));
-            groups.entry((i_blk, j)).or_default().push(((j_blk, i), pt));
+    inputs[0].level()
+}
+
+/// The baby-step rotations one executor call reads: the non-zero ones from
+/// a [`SharedRotations`] (the caller's, or a private one hoisted here),
+/// rotation by 0 as a local view of the input (no key-switch involved).
+struct BabySteps<'a> {
+    identities: HashMap<u32, RotatedExt>,
+    borrowed: Option<&'a SharedRotations>,
+    owned: Option<SharedRotations>,
+}
+
+impl<'a> BabySteps<'a> {
+    fn new<D>(
+        ctx: &FheLinearContext<'_>,
+        inputs: &[Ciphertext],
+        groups: &Groups<D>,
+        shared: Option<&'a SharedRotations>,
+    ) -> Self {
+        let used: BTreeSet<RotKey> = groups.values().flatten().map(|(rk, _)| *rk).collect();
+        let identities = used
+            .iter()
+            .filter(|&&(_, i)| i == 0)
+            .map(|&(j_blk, _)| (j_blk, RotatedExt::identity(&inputs[j_blk as usize])))
+            .collect();
+        let owned = shared.is_none().then(|| {
+            let rots: Vec<RotKey> = used.into_iter().filter(|&(_, i)| i != 0).collect();
+            SharedRotations::build(ctx, inputs, &rots)
+        });
+        Self {
+            identities,
+            borrowed: shared,
+            owned,
         }
     }
-    // Stage 1: every distinct baby-step key-switch inner product, in
-    // parallel (shared across all diagonals that use the rotation).
-    let rot_keys: Vec<(u32, usize)> = rot_set.into_iter().collect();
-    let rotations: HashMap<(u32, usize), RotatedExt> = rot_keys
-        .par_iter()
-        .map(|&(j_blk, i)| {
-            (
-                (j_blk, i),
-                hoisted[j_blk as usize].rotate_ext(ctx.eval, i as isize),
-            )
-        })
+
+    fn get(&self, (j_blk, i): RotKey) -> &RotatedExt {
+        if i == 0 {
+            &self.identities[&j_blk]
+        } else {
+            let shared = self.borrowed.or(self.owned.as_ref());
+            shared
+                .expect("private rotations are built when none are shared")
+                .get(j_blk, i)
+        }
+    }
+}
+
+/// Runs giant-step groups: accumulates every term through the fused
+/// kernel in one [`ExtAccumulator::add_groups`] batch (limb × element
+/// slice jobs on the shared pool, so layers with few groups still use
+/// every core), then each group's deferred ModDown and giant rotation in
+/// parallel. Returns each group's partial sum tagged with its output
+/// block, in group order.
+fn giant_step_parts(
+    ctx: &FheLinearContext<'_>,
+    plan: &LinearPlan,
+    level: usize,
+    steps: &BabySteps<'_>,
+    groups: &[(GroupKey, Vec<(RotKey, &Plaintext)>)],
+) -> Vec<(u32, Ciphertext)> {
+    let terms: Vec<Vec<Term<'_>>> = groups
+        .iter()
+        .map(|(_, ts)| ts.iter().map(|&(rk, pt)| (steps.get(rk), pt)).collect())
         .collect();
-    // Stage 2: accumulate each giant-step group and its deferred ModDown +
-    // giant rotation, in parallel. Modular adds are exact, so per-group
-    // order (plan order, preserved above) fixes the result bit-for-bit.
-    let group_vec: Vec<((u32, usize), GroupTerms<'_>)> = groups.into_iter().collect();
-    let parts: Vec<((u32, usize), Ciphertext)> = group_vec
-        .par_iter()
-        .map(|((i_blk, j), terms)| {
-            let mut acc = ExtAccumulator::new(ctx.eval.context(), level);
-            for (rk, pt) in terms {
-                acc.add_pmult_rotated(ctx.eval, &rotations[rk], pt);
-            }
+    let slices: Vec<&[Term<'_>]> = terms.iter().map(Vec::as_slice).collect();
+    let mut accs: Vec<ExtAccumulator> = groups
+        .iter()
+        .map(|_| ExtAccumulator::new(ctx.eval.context(), level))
+        .collect();
+    ExtAccumulator::add_groups(&mut accs, ctx.eval, &slices);
+    let jobs: Vec<(GroupKey, ExtAccumulator)> =
+        groups.iter().map(|(key, _)| *key).zip(accs).collect();
+    jobs.into_par_iter()
+        .map(|((i_blk, j), acc)| {
             let mut part = acc.finalize(ctx.eval);
-            let g = (j * n1) % slots;
+            let g = (j * plan.n1) % plan.slots;
             if g != 0 {
                 part = ctx.eval.rotate(&part, g as isize);
             }
-            ((*i_blk, *j), part)
+            (i_blk, part)
         })
-        .collect();
-    // Deterministic per-output-block sum, rescale, cached bias.
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, _), part) in parts {
+        .collect()
+}
+
+/// Sums each output block's group parts, rescales, and applies `bias`. An
+/// output block no diagonal touches is `zero()` (an input times the zero
+/// plaintext: encrypt-free).
+fn sum_and_rescale(
+    ctx: &FheLinearContext<'_>,
+    out_blocks: usize,
+    parts: Vec<(u32, Ciphertext)>,
+    zero: impl Fn() -> Ciphertext,
+    bias: impl Fn(usize, Ciphertext) -> Ciphertext,
+) -> Vec<Ciphertext> {
+    let mut out: Vec<Option<Ciphertext>> = vec![None; out_blocks];
+    for (i_blk, part) in parts {
         let slot_ref = &mut out[i_blk as usize];
         *slot_ref = Some(match slot_ref.take() {
             None => part,
@@ -653,14 +495,133 @@ pub fn exec_fhe_prepared(
     out.into_iter()
         .enumerate()
         .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(|| ctx.eval.mul_plain(&inputs[0], &prepared.zero));
+            let mut ct = o.unwrap_or_else(&zero);
             ctx.eval.rescale_assign(&mut ct);
-            if let Some(bias) = &prepared.bias {
-                ct = ctx.eval.add_plain(&ct, &bias[i_blk]);
-            }
-            ct
+            bias(i_blk, ct)
         })
         .collect()
+}
+
+/// The on-the-fly executors: diagonals from `source`, encoded per chunk of
+/// giant-step groups so at most a pool width of groups' plaintexts is live.
+fn exec_values(
+    ctx: &FheLinearContext<'_>,
+    plan: &LinearPlan,
+    source: &dyn DiagSource,
+    bias: Option<&[Vec<f64>]>,
+    inputs: &[Ciphertext],
+    shared: Option<&SharedRotations>,
+) -> Vec<Ciphertext> {
+    let level = input_level(ctx, plan, inputs);
+    let mut groups: Groups<Vec<f64>> = BTreeMap::new();
+    for (&(i_blk, j_blk), diags) in &plan.blocks {
+        let mut vals = source.block_diags(plan, i_blk, j_blk);
+        for &k in diags {
+            let Some(d) = vals.remove(&k) else { continue };
+            let (group, rot) = split_diag(plan, i_blk, j_blk, k);
+            groups.entry(group).or_default().push((rot, d));
+        }
+    }
+    let steps = BabySteps::new(ctx, inputs, &groups, shared);
+    let groups: GroupList<Vec<f64>> = groups.into_iter().collect();
+    let mut parts = Vec::with_capacity(groups.len());
+    for chunk in groups.chunks(rayon::current_num_threads()) {
+        let encoded: Vec<Vec<Plaintext>> = chunk
+            .iter()
+            .map(|(_, ts)| {
+                ts.par_iter()
+                    .map(|(_, d)| ctx.enc.encode_at_prime_scale_ws(d, level))
+                    .collect()
+            })
+            .collect();
+        let chunk_terms: GroupList<&Plaintext> = chunk
+            .iter()
+            .zip(&encoded)
+            .map(|((key, ts), pts)| (*key, ts.iter().map(|(rk, _)| *rk).zip(pts).collect()))
+            .collect();
+        parts.extend(giant_step_parts(ctx, plan, level, &steps, &chunk_terms));
+    }
+    let slots = plan.slots;
+    sum_and_rescale(
+        ctx,
+        plan.out_blocks,
+        parts,
+        || {
+            let zero = ctx.enc.encode_at_prime_scale_ws(&vec![0.0; slots], level);
+            ctx.eval.mul_plain(&inputs[0], &zero)
+        },
+        |i_blk, ct| match bias {
+            Some(b) => {
+                let pt = ctx.enc.encode(&b[i_blk], ct.scale, ct.level(), false);
+                ctx.eval.add_plain(&ct, &pt)
+            }
+            None => ct,
+        },
+    )
+}
+
+/// The prepared executors: every diagonal, bias block, and the zero
+/// plaintext come from the setup-time cache.
+fn exec_prepared(
+    ctx: &FheLinearContext<'_>,
+    plan: &LinearPlan,
+    prepared: &PreparedLayer,
+    inputs: &[Ciphertext],
+    shared: Option<&SharedRotations>,
+) -> Vec<Ciphertext> {
+    let level = input_level(ctx, plan, inputs);
+    assert_eq!(
+        level, prepared.level,
+        "inputs must arrive at the prepared level"
+    );
+    let mut groups: Groups<&Plaintext> = BTreeMap::new();
+    for (&(i_blk, j_blk), diags) in &plan.blocks {
+        let Some(block) = prepared.diags.get(&(i_blk, j_blk)) else {
+            continue;
+        };
+        for &k in diags {
+            let Some(pt) = block.get(&k) else { continue };
+            let (group, rot) = split_diag(plan, i_blk, j_blk, k);
+            groups.entry(group).or_default().push((rot, pt));
+        }
+    }
+    let steps = BabySteps::new(ctx, inputs, &groups, shared);
+    let groups: GroupList<&Plaintext> = groups.into_iter().collect();
+    let parts = giant_step_parts(ctx, plan, level, &steps, &groups);
+    sum_and_rescale(
+        ctx,
+        plan.out_blocks,
+        parts,
+        || ctx.eval.mul_plain(&inputs[0], &prepared.zero),
+        |i_blk, ct| match &prepared.bias {
+            Some(b) => ctx.eval.add_plain(&ct, &b[i_blk]),
+            None => ct,
+        },
+    )
+}
+
+/// Executes a plan homomorphically from a [`PreparedLayer`]: identical
+/// math to [`exec_fhe`] (modular arithmetic is exact, so the result is
+/// bit-for-bit the same) but with **zero plaintext encodes** — every
+/// diagonal, bias block, and the zero plaintext come from the setup-time
+/// cache — and with the expensive per-request stages fanned out on the
+/// shared rayon pool:
+///
+/// 1. the distinct baby-step `rotate_ext` key-switch inner products
+///    (independent per `(input block, baby step)`),
+/// 2. the fused giant-step accumulation of every `(output block, giant
+///    step)` group, split into (limb × element slice) jobs, and
+/// 3. each group's deferred ModDown and giant rotation.
+///
+/// This lands the ROADMAP "per-wire (intra-inference) parallel scheduling"
+/// item for linear layers — the dominant cost of a served inference.
+pub fn exec_fhe_prepared(
+    ctx: &FheLinearContext<'_>,
+    plan: &LinearPlan,
+    prepared: &PreparedLayer,
+    inputs: &[Ciphertext],
+) -> Vec<Ciphertext> {
+    exec_prepared(ctx, plan, prepared, inputs, None)
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub struct PreparedLayer {
     pub level: usize,
     /// `(out_block, in_block) → diagonal k → encoded plaintext` (prime
     /// scale, special limb, evaluation form — ready for
-    /// `ExtAccumulator::add_pmult_rotated`).
+    /// `ExtAccumulator::add_groups`).
     pub diags: HashMap<(u32, u32), HashMap<u32, Plaintext>>,
     /// Per-output-block bias plaintexts at scale Δ, `level − 1`.
     pub bias: Option<Vec<Plaintext>>,

@@ -23,12 +23,18 @@
 //! | `ntt_fwd_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 4q)`) |
 //! | `ntt_inv_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 2q)`) |
 //! | `ks_accum`          | digits `[0, q)`    | `[0, q)` (accumulator held `[0, 2q)`, transiently `[0, 4q)`) |
+//! | `diag_accum`        | `[0, q)`           | `[0, q)` (`u128` accumulator held `< q·2⁶⁴`, transiently `< 2q·2⁶⁴`) |
 //! | everything else     | `[0, q)`           | `[0, q)`     |
 //!
 //! The fused key-switch accumulator is safe at any digit count: each lazy
 //! Shoup product lands in `[0, 2q)`, the running sum is conditionally
 //! reduced back under `2q` after every digit, so the transient peak is
 //! `< 4q < 2⁶⁴` regardless of how many gadget digits are folded in.
+//!
+//! The fused giant-step accumulator is safe at any term count the same
+//! way: `⌊2⁶⁴/q⌋ − 1` products (3 at 62-bit primes) add less than
+//! `q·2⁶⁴`, and one conditional subtract of `q·2⁶⁴` on the high word
+//! after each such run restores the bound `Barrett::reduce_u128` needs.
 
 use crate::modular::{mul_mod_shoup, mul_mod_shoup_lazy, Barrett};
 use std::sync::OnceLock;
@@ -80,11 +86,24 @@ pub struct Kernels {
     /// gadget digits, one full reduction per element at the end.
     /// `(dst, digits, keys, key_shoups, q)`; `dst` must be in `[0, q)`.
     pub ks_accum: KsAccumFn,
+    /// Fused plaintext–ciphertext accumulation for one limb of one BSGS
+    /// giant-step group: `dsts[s][i] = (dsts[s][i] + Σ_t pts[t][i]·
+    /// streams[s][t][i]) mod q` for 1–3 operand streams that share the
+    /// plaintext diagonals (`ks_b, ks_a, σ(c0)` or `c0, c1`). Each
+    /// plaintext limb is read once per call, products are summed lazily in
+    /// `u128`, and every element is reduced once at the end.
+    /// `(dsts, pts, streams, q)`; `dsts` must be in `[0, q)`.
+    pub diag_accum: DiagAccumFn,
 }
 
 /// Signature of the fused key-switch accumulation kernel:
 /// `(dst, digits, keys, key_shoups, q)`.
 pub type KsAccumFn = fn(&mut [u64], &[&[u64]], &[&[u64]], &[&[u64]], u64);
+
+/// Signature of the fused giant-step accumulation kernel:
+/// `(dsts, pts, streams, q)` with `streams[s][t]` the operand multiplied
+/// by `pts[t]` into `dsts[s]`.
+pub type DiagAccumFn = fn(&mut [&mut [u64]], &[&[u64]], &[&[&[u64]]], u64);
 
 /// The portable scalar table (4-wide unrolled loops; NEON-friendly shapes
 /// that LLVM auto-vectorizes on aarch64).
@@ -160,6 +179,7 @@ static SCALAR: Kernels = Kernels {
     mod_reduce: scalar_impl::mod_reduce,
     centered_reduce: scalar_impl::centered_reduce,
     ks_accum: scalar_impl::ks_accum,
+    diag_accum: scalar_impl::diag_accum,
 };
 
 /// Reduces a lazy value in `[0, 4q)` to `[0, q)`.
@@ -344,6 +364,120 @@ mod scalar_impl {
         }
     }
 
+    /// Elements per block of [`diag_accum`]: `128 × 3 streams × 16 B` of
+    /// `u128` accumulators (6 KiB) stay L1-resident while every term's
+    /// operands stream through once.
+    const DIAG_BLOCK: usize = 128;
+
+    pub(super) fn diag_accum(
+        dsts: &mut [&mut [u64]],
+        pts: &[&[u64]],
+        streams: &[&[&[u64]]],
+        q: u64,
+    ) {
+        match dsts.len() {
+            1 => diag_accum_n::<1>(dsts, pts, streams, q),
+            2 => diag_accum_n::<2>(dsts, pts, streams, q),
+            3 => diag_accum_n::<3>(dsts, pts, streams, q),
+            s => panic!("diag_accum takes 1 to 3 operand streams, got {s}"),
+        }
+    }
+
+    /// Terms summed in registers before each accumulator update. Three
+    /// products of residues stay below `3q² < 2¹²⁸`, and three is the
+    /// smallest fold run (`⌊2⁶⁴/q⌋ − 1` at the largest supported primes).
+    const DIAG_UNROLL: usize = 3;
+
+    fn diag_accum_n<const S: usize>(
+        dsts: &mut [&mut [u64]],
+        pts: &[&[u64]],
+        streams: &[&[&[u64]]],
+        q: u64,
+    ) {
+        assert_eq!(streams.len(), S, "one operand stream per destination");
+        let n = dsts[0].len();
+        for d in dsts.iter() {
+            assert_eq!(d.len(), n);
+        }
+        for p in pts {
+            assert_eq!(p.len(), n);
+        }
+        for s in streams {
+            assert_eq!(s.len(), pts.len(), "one operand per plaintext term");
+            for x in s.iter() {
+                assert_eq!(x.len(), n);
+            }
+        }
+        let br = Barrett::new(q);
+        // Accumulator invariant: acc < q·2⁶⁴ after every fold. A product of
+        // residues is < q², so m ≤ ⌊2⁶⁴/q⌋ − 1 products add < q·2⁶⁴ and the
+        // sum stays < 2q·2⁶⁴ < 2¹²⁷; one conditional subtract of q·2⁶⁴ on
+        // the high word restores the invariant, which is also the input
+        // bound of `Barrett::reduce_u128`. Terms go in triples, so a fold
+        // follows every ⌊m/3⌋ triples (every triple at 62-bit primes).
+        let fold_run = ((1u128 << 64) / q as u128 - 1).min(usize::MAX as u128) as usize;
+        let triples_per_fold = fold_run / DIAG_UNROLL;
+        let q_hi = (q as u128) << 64;
+        let fold = |acc: &mut [[u128; S]]| {
+            for a in acc.iter_mut().flatten() {
+                if *a >= q_hi {
+                    *a -= q_hi;
+                }
+            }
+        };
+        let whole = pts.len() - pts.len() % DIAG_UNROLL;
+        let mut acc = [[0u128; S]; DIAG_BLOCK];
+        let mut start = 0;
+        while start < n {
+            let end = (start + DIAG_BLOCK).min(n);
+            let acc = &mut acc[..end - start];
+            for (e, a) in acc.iter_mut().enumerate() {
+                for s in 0..S {
+                    a[s] = dsts[s][start + e] as u128;
+                }
+            }
+            let mut pending = 0;
+            for t in (0..whole).step_by(DIAG_UNROLL) {
+                let p: [&[u64]; DIAG_UNROLL] = std::array::from_fn(|u| &pts[t + u][start..end]);
+                let x: [[&[u64]; DIAG_UNROLL]; S] = std::array::from_fn(|s| {
+                    std::array::from_fn(|u| &streams[s][t + u][start..end])
+                });
+                for (e, a) in acc.iter_mut().enumerate() {
+                    let pv: [u128; DIAG_UNROLL] = std::array::from_fn(|u| p[u][e] as u128);
+                    for s in 0..S {
+                        let mut sum = 0u128;
+                        for u in 0..DIAG_UNROLL {
+                            sum += pv[u] * x[s][u][e] as u128;
+                        }
+                        a[s] += sum;
+                    }
+                }
+                pending += 1;
+                if pending == triples_per_fold {
+                    fold(acc);
+                    pending = 0;
+                }
+            }
+            // The < 3 leftover terms fit in one fold run after a fold.
+            fold(acc);
+            for t in whole..pts.len() {
+                let p = &pts[t][start..end];
+                for (e, a) in acc.iter_mut().enumerate() {
+                    for s in 0..S {
+                        a[s] += p[e] as u128 * streams[s][t][start + e] as u128;
+                    }
+                }
+            }
+            fold(acc);
+            for (e, a) in acc.iter().enumerate() {
+                for s in 0..S {
+                    dsts[s][start + e] = br.reduce_u128(a[s]);
+                }
+            }
+            start = end;
+        }
+    }
+
     /// Lazy forward butterfly over a split block: `u ∈ [0,4q) → [0,2q)`,
     /// lazy product of `v`, outputs `< 4q`.
     #[inline(always)]
@@ -497,6 +631,10 @@ mod avx2_impl {
         mod_reduce: super::scalar_impl::mod_reduce,
         centered_reduce: super::scalar_impl::centered_reduce,
         ks_accum,
+        // The lazy u128 multiply-accumulate maps onto the scalar 64×64→128
+        // multiplier (one instruction per product); AVX2 would need four
+        // 32-bit partial products plus carry assembly per lane.
+        diag_accum: super::scalar_impl::diag_accum,
     };
 
     /// Sign-bit constant for unsigned 64-bit comparison via signed compare.
@@ -1334,6 +1472,35 @@ mod tests {
                         expect = add_mod(expect, mul_mod(ds[i][j], ks[i][j], Q), Q);
                     }
                     assert_eq!(dst[j], expect, "{} len={len} digits={digits}", k.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diag_accum_folds_at_62_bits() {
+        // The largest prime below 2⁶² folds every 3 terms; maximal
+        // plaintext residues drive the accumulator against the fold bound.
+        let mut q = (1u64 << 62) - 1;
+        while !crate::modular::is_prime(q) {
+            q -= 2;
+        }
+        assert_eq!((1u128 << 64) / q as u128 - 1, 3);
+        for k in variants() {
+            for (len, terms) in [(1usize, 1usize), (129, 10), (7, 64)] {
+                let pts: Vec<Vec<u64>> = (0..terms).map(|_| vec![q - 1; len]).collect();
+                let xs: Vec<Vec<u64>> =
+                    (0..terms).map(|t| rng_seq(40 + t as u64, len, q)).collect();
+                let mut dst = vec![q - 1; len];
+                let pref: Vec<&[u64]> = pts.iter().map(|v| v.as_slice()).collect();
+                let xref: Vec<&[u64]> = xs.iter().map(|v| v.as_slice()).collect();
+                (k.diag_accum)(&mut [&mut dst[..]], &pref, &[&xref[..]], q);
+                for j in 0..len {
+                    let mut expect = q - 1;
+                    for t in 0..terms {
+                        expect = add_mod(expect, mul_mod(pts[t][j], xs[t][j], q), q);
+                    }
+                    assert_eq!(dst[j], expect, "{} len={len} terms={terms}", k.name);
                 }
             }
         }

@@ -7,7 +7,9 @@
 //! handling). These run regardless of `ORION_SIMD`, so the vector paths
 //! are exercised even when dispatch is forced off.
 
-use orion_math::modular::{add_mod, mul_mod, neg_mod, reduce_i128, shoup_precompute, sub_mod};
+use orion_math::modular::{
+    add_mod, is_prime, mul_mod, neg_mod, reduce_i128, shoup_precompute, sub_mod,
+};
 use orion_math::ntt::NttTable;
 use orion_math::primes::generate_ntt_primes;
 use orion_math::simd;
@@ -17,6 +19,20 @@ fn random_prime(n: usize, bits_off: u32, seed: u64) -> u64 {
     // Prime size in [30, 62): the full range the kernels support.
     let bits = 30 + bits_off % 32;
     generate_ntt_primes(n.max(16), bits, 1, &[seed % 2])[0]
+}
+
+/// A modulus for the elementwise kernels: an NTT prime of 30–61 bits, or
+/// (`bits_off >= 32`) a prime just below 2⁶², the top of the supported
+/// range, where `diag_accum` folds its high word every 3 terms.
+fn pointwise_prime(bits_off: u32, seed: u64) -> u64 {
+    if bits_off < 32 {
+        return random_prime(16, bits_off, seed);
+    }
+    let mut q = (1u64 << 62) - 1 - 2 * (seed % 4096);
+    while !is_prime(q) {
+        q -= 2;
+    }
+    q
 }
 
 fn fill(rng: &mut impl rand::Rng, len: usize, bound: u64) -> Vec<u64> {
@@ -175,6 +191,54 @@ proptest! {
             let mut v = acc0.clone();
             (k.ks_accum)(&mut v, &dsl, &ksl, &kssl, q);
             prop_assert_eq!(&v, &expect, "{} ks_accum", k.name);
+        }
+    }
+
+    /// The fused giant-step accumulator equals the per-term `add_mul`
+    /// sequence it replaces, on every dispatch variant: 1–64 terms, with
+    /// and without the third operand stream, lengths that straddle the
+    /// kernel's element block and the 4-lane width, and primes up to just
+    /// below 2⁶² (where the lazy `u128` sum folds every 3 terms). In half
+    /// the cases the operands come from the top quarter of `[0, q)`, where
+    /// 64 unfolded products at 2⁶² overflow a `u128`.
+    #[test]
+    fn diag_accum_matches_add_mul_sequence(
+        len in 1usize..300,
+        terms in 1usize..65,
+        streams in 2usize..4,
+        bits_off in 0u32..40,
+        top in 0u32..2,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let q = pointwise_prime(bits_off, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xd1a6);
+        let lo = if top == 1 { q - q / 4 } else { 0 };
+        let draw = |rng: &mut StdRng| -> Vec<u64> {
+            (0..len).map(|_| rng.gen_range(lo..q)).collect()
+        };
+        let pts: Vec<Vec<u64>> = (0..terms).map(|_| draw(&mut rng)).collect();
+        let xs: Vec<Vec<Vec<u64>>> = (0..streams)
+            .map(|_| (0..terms).map(|_| draw(&mut rng)).collect())
+            .collect();
+        let d0: Vec<Vec<u64>> = (0..streams).map(|_| fill(&mut rng, len, q)).collect();
+        let pref: Vec<&[u64]> = pts.iter().map(|v| v.as_slice()).collect();
+        let xref: Vec<Vec<&[u64]>> = xs
+            .iter()
+            .map(|st| st.iter().map(|v| v.as_slice()).collect())
+            .collect();
+        let sref: Vec<&[&[u64]]> = xref.iter().map(|v| v.as_slice()).collect();
+        for k in simd::variants() {
+            let mut expect = d0.clone();
+            for t in 0..terms {
+                for s in 0..streams {
+                    (k.add_mul)(&mut expect[s], &xs[s][t], &pts[t], q);
+                }
+            }
+            let mut got = d0.clone();
+            let mut dsts: Vec<&mut [u64]> = got.iter_mut().map(|v| v.as_mut_slice()).collect();
+            (k.diag_accum)(&mut dsts, &pref, &sref, q);
+            prop_assert_eq!(&got, &expect, "{} diag_accum q={} terms={}", k.name, q, terms);
         }
     }
 }

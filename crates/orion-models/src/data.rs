@@ -1,5 +1,5 @@
-//! Synthetic datasets (DESIGN.md §2: no dataset downloads; the paper's
-//! FHE-vs-cleartext validation metric is preserved).
+//! Synthetic datasets (no dataset downloads — see the crate docs in
+//! `lib.rs`; the paper's FHE-vs-cleartext validation metric is preserved).
 
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;

@@ -42,7 +42,7 @@ pub struct FheSession {
     pub eval: Evaluator,
     pub(crate) encryptor: Encryptor,
     pub(crate) decryptor: Decryptor,
-    /// The bootstrap oracle (level reset; see DESIGN.md).
+    /// The bootstrap oracle (level reset; see `orion_ckks::bootstrap`).
     pub oracle: BootstrapOracle,
     pub(crate) rng: parking_lot::Mutex<StdRng>,
 }

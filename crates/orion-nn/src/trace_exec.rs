@@ -6,7 +6,8 @@
 //! activations), levels/bootstraps follow the placement policy, and every
 //! operation is tallied with its modeled latency — regenerating the
 //! paper's reporting columns for networks far too large to run through
-//! 64-bit modular arithmetic in CI (see DESIGN.md §2).
+//! 64-bit modular arithmetic in CI (see the `orion_sim` crate docs and
+//! README "Architecture: the `EvalBackend` layer").
 
 use crate::backend::{run_program, Counting};
 use crate::backends::TraceBackend;

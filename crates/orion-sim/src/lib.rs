@@ -12,7 +12,7 @@
 //! bootstrapping) and tallying every operation in a [`counter::OpCounter`].
 //! It is how the ImageNet-scale rows of Table 2 are regenerated without
 //! hours of 64-bit modular arithmetic — the *plans* are identical to the
-//! real backend's (see DESIGN.md §2).
+//! real backend's (see README "Architecture: the `EvalBackend` layer").
 
 pub mod cost;
 pub mod counter;
