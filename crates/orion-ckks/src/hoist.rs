@@ -280,12 +280,12 @@ impl ExtAccumulator {
     /// reads every plaintext limb once and reduces every accumulator
     /// element once. For a rotated term the plaintext must carry a special
     /// limb (encode with `with_special = true`); the key-switch output is
-    /// consumed lazily in the extended basis. The jobs, fanned out on the
-    /// shared pool, are (limb × element slice) with the groups inside, so
-    /// layers with few groups still use every core and a rotation shared
-    /// by many groups is read from cache after its first use. Modular sums
-    /// are exact, so the result is bit-identical to adding the terms one
-    /// `add_mul` at a time.
+    /// consumed lazily in the extended basis. The jobs are (limb × element
+    /// slice) with the groups inside, so a rotation shared by many groups
+    /// is read from cache after its first use; at rings the pool gate
+    /// admits (N ≥ 2¹²) they fan out on the shared pool, so layers with
+    /// few groups still use every core. Modular sums are exact, so the
+    /// result is bit-identical to adding the terms one `add_mul` at a time.
     pub fn add_groups(accs: &mut [ExtAccumulator], eval: &Evaluator, groups: &[&[Term<'_>]]) {
         assert_eq!(accs.len(), groups.len(), "one term list per accumulator");
         let ctx = eval.context();
@@ -340,10 +340,11 @@ impl ExtAccumulator {
             }
         }
         let k = orion_math::simd::kernels();
-        // Every job reads one operand slice per term, so the fan-out is
-        // sized by the term vectors touched, not by the limb count alone.
-        let terms: usize = groups.iter().map(|g| g.len()).sum();
-        let par = orion_math::parallel::pointwise_parallel(n, (chain + 1) * terms);
+        // Gated like every other pointwise loop, by the vectors written
+        // (four accumulators per limb): the tiny ring stays sequential, so
+        // its latency does not hang on fine-grained joins with whatever
+        // else shares the pool (e.g. a pager's prefetch units).
+        let par = orion_math::parallel::pointwise_parallel(n, 4 * (chain + 1));
         time_class(OpClass::Pointwise, || {
             orion_math::parallel::for_each_mut(&mut jobs, par, |_, job| {
                 let q = job.j.map_or(ctx.special, |j| ctx.moduli[j]);
@@ -461,7 +462,11 @@ mod tests {
     }
 
     fn setup(rotations: &[isize]) -> H {
-        let ctx = Context::new(CkksParams::tiny());
+        setup_at(CkksParams::tiny(), rotations)
+    }
+
+    fn setup_at(params: CkksParams, rotations: &[isize]) -> H {
+        let ctx = Context::new(params);
         let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(31));
         let pk = Arc::new(kg.gen_public_key());
         let keys = Arc::new(kg.gen_eval_keys(rotations));
@@ -599,11 +604,22 @@ mod tests {
 
     #[test]
     fn batched_groups_match_per_term_add_mul() {
+        check_batched_groups(CkksParams::tiny());
+    }
+
+    #[test]
+    fn batched_groups_match_per_term_add_mul_on_the_pool() {
+        // N = 2¹² clears the pointwise gate: the slice jobs fan out on the
+        // shared pool whenever it has more than one thread.
+        check_batched_groups(CkksParams::small());
+    }
+
+    fn check_batched_groups(params: CkksParams) {
         // Two input ciphertexts; a group mixing identity and rotated terms
         // of both (one rotation used twice), two rotated-only groups, and
         // an identity-only group (which skips the ModDowns), all
         // accumulated in one batch against the per-term reference.
-        let mut h = setup(&[1, 3, 5]);
+        let mut h = setup_at(params, &[1, 3, 5]);
         let n = h.ctx.slots();
         let level = 2;
         let cts: Vec<Ciphertext> = (0..2)

@@ -439,10 +439,10 @@ impl<'a> BabySteps<'a> {
 
 /// Runs giant-step groups: accumulates every term through the fused
 /// kernel in one [`ExtAccumulator::add_groups`] batch (limb × element
-/// slice jobs on the shared pool, so layers with few groups still use
-/// every core), then each group's deferred ModDown and giant rotation in
-/// parallel. Returns each group's partial sum tagged with its output
-/// block, in group order.
+/// slice jobs, on the shared pool from N = 2¹², so layers with few groups
+/// still use every core), then each group's deferred ModDown and giant
+/// rotation in parallel. Returns each group's partial sum tagged with its
+/// output block, in group order.
 fn giant_step_parts(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
