@@ -6,10 +6,11 @@
 //! and plaintext precomputation differ.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use orion_bench::ablation::exec_fhe_unhoisted;
 use orion_ckks::keys::KeyGenerator;
 use orion_ckks::params::{CkksParams, Context};
 use orion_ckks::{Encoder, Encryptor, Evaluator};
-use orion_linear::exec::{exec_fhe, exec_fhe_unhoisted, FheLinearContext};
+use orion_linear::exec::{exec_fhe, FheLinearContext};
 use orion_linear::plan::{conv_plan, ConvSpec};
 use orion_linear::values::ConvDiagSource;
 use orion_linear::TensorLayout;

@@ -14,8 +14,10 @@
 //! | Table 5 (placement scalability) | `table5_scaling` |
 //! | Figure 8 (YOLO-v1 detection) | `fig8_yolo` |
 //!
-//! Criterion micro-benches live in `benches/`.
+//! Criterion micro-benches live in `benches/`; [`ablation`] holds the
+//! unhoisted BSGS baseline the hoisting ablation bench measures.
 
+pub mod ablation;
 pub mod kernels;
 pub mod models;
 

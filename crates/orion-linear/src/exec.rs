@@ -5,18 +5,15 @@
 //! giant-step group rotations) — it is the correctness oracle for the
 //! packing math, compared against reference convolutions in tests.
 //!
-//! [`exec_fhe`] is the real thing: double-hoisted BSGS over CKKS
-//! ciphertexts (paper Equation (1)). Baby-step rotations share one digit
-//! decomposition per input ciphertext; giant-step groups accumulate in the
-//! extended basis with one deferred ModDown each. Weights are encoded at
-//! prime scale so each linear layer consumes exactly one level and returns
-//! the ciphertext scale to precisely Δ.
-//!
-//! All four double-hoisted executors — on the fly or prepared, private or
-//! [`SharedRotations`] — gather the same giant-step work lists and run one
-//! core (`giant_step_parts`): the fused lazy accumulation of every group
-//! ([`ExtAccumulator::add_groups`]), then per-group ModDown and giant
-//! rotation, then the per-output-block sum, rescale and bias.
+//! [`exec_prepared`] is the real thing: double-hoisted BSGS over CKKS
+//! ciphertexts (paper Equation (1)) from a [`PreparedLayer`]. Baby-step
+//! rotations share one digit decomposition per input ciphertext (or come
+//! from a caller's [`SharedRotations`]); giant-step groups accumulate in the
+//! extended basis through the fused lazy kernel
+//! ([`ExtAccumulator::add_groups`]) with one deferred ModDown each. Weights
+//! are encoded at prime scale so each linear layer consumes exactly one
+//! level and returns the ciphertext scale to precisely Δ. Running a layer
+//! on the fly ([`exec_fhe`]) is preparing it, then running it.
 
 use crate::plan::LinearPlan;
 use crate::prepared::PreparedLayer;
@@ -26,7 +23,12 @@ use orion_ckks::encrypt::{Ciphertext, Plaintext};
 use orion_ckks::eval::Evaluator;
 use orion_ckks::hoist::{ExtAccumulator, HoistedDigits, RotatedExt, Term};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// The panic message of a linear consumer whose rotation is missing from
+/// the shared set it was handed — identical for the CKKS and plain paths.
+const MISSING_SHARED: &str = "linear consumer needs a rotation missing from the shared unit";
 
 /// Rotates a cleartext slot vector "up" by `k` (CKKS `HRot` semantics).
 fn rot_plain(v: &[f64], k: usize) -> Vec<f64> {
@@ -38,16 +40,28 @@ fn rot_plain(v: &[f64], k: usize) -> Vec<f64> {
     out
 }
 
-/// Executes a plan on cleartext slot blocks with output ciphertexts fanned
-/// out over the shared rayon pool (paper §4.3: "each block performs
-/// independent work and is well-suited for parallel execution across
-/// multiple threads"). Unlike the earlier scope-per-call implementation,
-/// no threads are spawned here — block jobs are scheduled onto the same
-/// bounded pool the limb-parallel RNS engine uses.
-pub fn exec_plain_parallel(
+/// Executes a plan on cleartext slot blocks (see [`exec_plain_with`]).
+pub fn exec_plain(
     plan: &LinearPlan,
     source: &(dyn DiagSource + Sync),
     inputs: &[Vec<f64>],
+) -> Vec<Vec<f64>> {
+    exec_plain_with(plan, source, inputs, None)
+}
+
+/// Executes a plan on cleartext slot blocks, one job per output block on
+/// the shared rayon pool (paper §4.3: "each block performs independent
+/// work and is well-suited for parallel execution across multiple
+/// threads"). With `shared` (see [`shared_rot_plain`]) every non-zero
+/// baby-step rotation is read from that map, and a missing entry panics
+/// exactly like [`SharedRotations::get`]. Within an output block, terms
+/// accumulate per giant step in plan order and the giant steps are summed
+/// in ascending order, so the result does not depend on the pool.
+pub fn exec_plain_with(
+    plan: &LinearPlan,
+    source: &(dyn DiagSource + Sync),
+    inputs: &[Vec<f64>],
+    shared: Option<&HashMap<(u32, usize), Vec<f64>>>,
 ) -> Vec<Vec<f64>> {
     assert_eq!(inputs.len(), plan.in_blocks);
     let slots = plan.slots;
@@ -56,20 +70,22 @@ pub fn exec_plain_parallel(
     out.par_iter_mut()
         .enumerate()
         .for_each(|(i_out, out_block)| {
+            let i_out = i_out as u32;
             let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for (&(i_blk, j_blk), diags) in &plan.blocks {
-                if i_blk as usize != i_out {
-                    continue;
-                }
+            for (&(i_blk, j_blk), diags) in plan.blocks.range((i_out, 0)..=(i_out, u32::MAX)) {
                 let vals = source.block_diags(plan, i_blk, j_blk);
                 let input = &inputs[j_blk as usize];
                 for &k in diags {
                     let Some(d) = vals.get(&k) else { continue };
                     let i = (k as usize) % n1;
                     let j = (k as usize) / n1;
-                    let rotated = rot_plain(input, i);
+                    let rotated: Cow<'_, [f64]> = match shared {
+                        _ if i == 0 => Cow::Borrowed(input),
+                        Some(map) => Cow::Borrowed(map.get(&(j_blk, i)).expect(MISSING_SHARED)),
+                        None => Cow::Owned(rot_plain(input, i)),
+                    };
                     let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
-                    for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(&rotated) {
+                    for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(rotated.iter()) {
                         *a += dv * xv;
                     }
                 }
@@ -84,41 +100,6 @@ pub fn exec_plain_parallel(
     out
 }
 
-/// Executes a plan on cleartext slot blocks.
-pub fn exec_plain(
-    plan: &LinearPlan,
-    source: &dyn DiagSource,
-    inputs: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let slots = plan.slots;
-    let n1 = plan.n1;
-    // giant-step group accumulators: (out block, giant j) → slots
-    let mut groups: BTreeMap<(u32, usize), Vec<f64>> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        let input = &inputs[j_blk as usize];
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            let rotated = rot_plain(input, i);
-            let acc = groups.entry((i_blk, j)).or_insert_with(|| vec![0.0; slots]);
-            for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(&rotated) {
-                *a += dv * xv;
-            }
-        }
-    }
-    let mut out = vec![vec![0.0; slots]; plan.out_blocks];
-    for ((i_blk, j), acc) in groups {
-        let part = rot_plain(&acc, (j * n1) % slots);
-        for (o, p) in out[i_blk as usize].iter_mut().zip(&part) {
-            *o += p;
-        }
-    }
-    out
-}
-
 /// Handles bundling the CKKS evaluator and encoder for FHE execution.
 pub struct FheLinearContext<'a> {
     /// The evaluator (must hold rotation keys for `plan.rotation_steps()`).
@@ -127,85 +108,21 @@ pub struct FheLinearContext<'a> {
     pub enc: &'a Encoder,
 }
 
-/// Executes a plan homomorphically **without** hoisting or lazy ModDown —
-/// every baby-step rotation pays a full key-switch and diagonals are
-/// encoded on the fly. This is the ablation baseline for the paper's
-/// Table 4 mechanism ("our convolutional runtime is 11.2× faster …
-/// all ciphertext rotations in Orion are performed with double-hoisting").
-pub fn exec_fhe_unhoisted(
-    ctx: &FheLinearContext<'_>,
-    plan: &LinearPlan,
-    source: &dyn DiagSource,
-    inputs: &[Ciphertext],
-) -> Vec<Ciphertext> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let level = inputs[0].level();
-    let slots = ctx.eval.context().slots();
-    let n1 = plan.n1;
-    // Rotated inputs computed with full key-switches, cached per (J, i).
-    let mut rotated: std::collections::HashMap<(u32, usize), Ciphertext> =
-        std::collections::HashMap::new();
-    let mut groups: BTreeMap<(u32, usize), Ciphertext> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            // borrow the cached rotation straight from the map — a full
-            // ciphertext clone per diagonal would dwarf the mul_plain
-            let rot = rotated
-                .entry((j_blk, i))
-                .or_insert_with(|| ctx.eval.rotate(&inputs[j_blk as usize], i as isize));
-            // on-the-fly encoding (the ablation's point)
-            let pt = ctx.enc.encode_at_prime_scale(d, level, false);
-            let term = ctx.eval.mul_plain(rot, &pt);
-            groups
-                .entry((i_blk, j))
-                .and_modify(|acc| *acc = ctx.eval.add(acc, &term))
-                .or_insert(term);
-        }
-    }
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, j), part) in groups {
-        let g = (j * n1) % slots;
-        let part = if g != 0 {
-            ctx.eval.rotate(&part, g as isize)
-        } else {
-            part
-        };
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .map(|o| {
-            let mut ct = o.expect("unhoisted path expects every block populated");
-            ctx.eval.rescale_assign(&mut ct);
-            ct
-        })
-        .collect()
-}
-
-/// Executes a plan homomorphically. Inputs must share one level and scale
-/// Δ; outputs are one level lower at exactly scale Δ (single-shot: even
+/// Executes a plan homomorphically with its weights encoded on the fly:
+/// builds the layer's [`PreparedLayer`] at the inputs' level, then runs it
+/// through [`exec_prepared`]. Inputs must share one level and scale Δ;
+/// outputs are one level lower at exactly scale Δ (single-shot: even
 /// strided convolutions consume one level — paper §4).
-///
-/// Every input ciphertext that rotates is hoisted once (shared digit
-/// decomposition), and each distinct baby-step rotation's key-switch inner
-/// product is computed once in the extended basis, shared across every
-/// diagonal that uses it (Bossuat et al. Algorithm 6). Diagonals are
-/// encoded on the fly, one pool-width chunk of giant-step groups at a time.
 pub fn exec_fhe(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
-    source: &dyn DiagSource,
+    source: &(dyn DiagSource + Sync),
     bias: Option<&[Vec<f64>]>,
     inputs: &[Ciphertext],
 ) -> Vec<Ciphertext> {
-    exec_values(ctx, plan, source, bias, inputs, None)
+    let level = input_level(ctx, plan, inputs);
+    let prepared = PreparedLayer::build(ctx.enc, plan, source, bias, level);
+    exec_prepared(ctx, plan, &prepared, inputs, None)
 }
 
 /// Baby-step rotations of one wire's ciphertexts, computed once and shared
@@ -253,9 +170,7 @@ impl SharedRotations {
 
     /// The shared inner product for `(input block, amount)`.
     pub fn get(&self, j_blk: u32, i: usize) -> &RotatedExt {
-        self.rotations
-            .get(&(j_blk, i))
-            .expect("linear consumer needs a rotation missing from the shared unit")
+        self.rotations.get(&(j_blk, i)).expect(MISSING_SHARED)
     }
 
     /// Number of shared rotations.
@@ -269,26 +184,8 @@ impl SharedRotations {
     }
 }
 
-/// [`exec_fhe`] reading its non-zero baby-step rotations from a
-/// [`SharedRotations`] instead of hoisting privately — the consumer side
-/// of cross-wire rotation CSE. Bit-identical to [`exec_fhe`]: the shared
-/// entries are the same pure-function values, and modular sums are exact.
-pub fn exec_fhe_shared(
-    ctx: &FheLinearContext<'_>,
-    plan: &LinearPlan,
-    source: &dyn DiagSource,
-    bias: Option<&[Vec<f64>]>,
-    inputs: &[Ciphertext],
-    shared: &SharedRotations,
-) -> Vec<Ciphertext> {
-    exec_values(ctx, plan, source, bias, inputs, Some(shared))
-}
-
-/// [`exec_fhe_prepared`] reading its non-zero baby-step rotations from a
-/// [`SharedRotations`]: the per-consumer rotation fan-out disappears
-/// entirely — only the rotation-by-0 views remain local — and the
-/// giant-step groups run as before. Bit-identical to the private-hoist
-/// path for the same reason as [`exec_fhe_shared`].
+/// [`exec_prepared`] reading its non-zero baby-step rotations from a
+/// [`SharedRotations`] — the consumer side of cross-wire rotation CSE.
 pub fn exec_fhe_prepared_shared(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
@@ -311,75 +208,15 @@ pub fn shared_rot_plain(
         .collect()
 }
 
-/// [`exec_plain_parallel`] reading non-zero baby-step rotations from a
-/// shared pre-rotated map (see [`shared_rot_plain`]).
-pub fn exec_plain_parallel_shared(
-    plan: &LinearPlan,
-    source: &(dyn DiagSource + Sync),
-    inputs: &[Vec<f64>],
-    shared: &HashMap<(u32, usize), Vec<f64>>,
-) -> Vec<Vec<f64>> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let slots = plan.slots;
-    let n1 = plan.n1;
-    let mut out = vec![vec![0.0; slots]; plan.out_blocks];
-    out.par_iter_mut()
-        .enumerate()
-        .for_each(|(i_out, out_block)| {
-            let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for (&(i_blk, j_blk), diags) in &plan.blocks {
-                if i_blk as usize != i_out {
-                    continue;
-                }
-                let vals = source.block_diags(plan, i_blk, j_blk);
-                let input = &inputs[j_blk as usize];
-                for &k in diags {
-                    let Some(d) = vals.get(&k) else { continue };
-                    let i = (k as usize) % n1;
-                    let j = (k as usize) / n1;
-                    let rotated: std::borrow::Cow<'_, [f64]> = if i == 0 {
-                        std::borrow::Cow::Borrowed(input)
-                    } else {
-                        match shared.get(&(j_blk, i)) {
-                            Some(r) => std::borrow::Cow::Borrowed(r),
-                            None => std::borrow::Cow::Owned(rot_plain(input, i)),
-                        }
-                    };
-                    let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
-                    for ((a, &dv), &xv) in acc.iter_mut().zip(d.iter()).zip(rotated.iter()) {
-                        *a += dv * xv;
-                    }
-                }
-            }
-            for (j, acc) in groups {
-                let part = rot_plain(&acc, (j * n1) % slots);
-                for (o, p) in out_block.iter_mut().zip(&part) {
-                    *o += p;
-                }
-            }
-        });
-    out
-}
-
 /// `(output block, giant step)`: one giant-step group.
 type GroupKey = (u32, usize);
 
 /// `(input block, baby step)`: one baby-step rotation.
 type RotKey = (u32, usize);
 
-/// Every giant-step group's work list in plan order: `(rotation,
-/// diagonal)` per term, the diagonal a cleartext vector (on-the-fly
-/// executors) or a cached plaintext (prepared executors).
-type Groups<D> = BTreeMap<GroupKey, Vec<(RotKey, D)>>;
-
-/// [`Groups`] flattened into a list, in group order.
-type GroupList<D> = Vec<(GroupKey, Vec<(RotKey, D)>)>;
-
-/// Splits diagonal `k` of input block `j_blk` into its rotation and group.
-fn split_diag(plan: &LinearPlan, i_blk: u32, j_blk: u32, k: u32) -> (GroupKey, RotKey) {
-    let (i, j) = ((k as usize) % plan.n1, (k as usize) / plan.n1);
-    ((i_blk, j), (j_blk, i))
-}
+/// Every giant-step group's work list in plan order: `(rotation, encoded
+/// diagonal)` per term.
+type Groups<'p> = BTreeMap<GroupKey, Vec<(RotKey, &'p Plaintext)>>;
 
 /// The level the inputs share, after checking them against the plan.
 fn input_level(ctx: &FheLinearContext<'_>, plan: &LinearPlan, inputs: &[Ciphertext]) -> usize {
@@ -402,10 +239,10 @@ struct BabySteps<'a> {
 }
 
 impl<'a> BabySteps<'a> {
-    fn new<D>(
+    fn new(
         ctx: &FheLinearContext<'_>,
         inputs: &[Ciphertext],
-        groups: &Groups<D>,
+        groups: &Groups<'_>,
         shared: Option<&'a SharedRotations>,
     ) -> Self {
         let used: BTreeSet<RotKey> = groups.values().flatten().map(|(rk, _)| *rk).collect();
@@ -448,20 +285,19 @@ fn giant_step_parts(
     plan: &LinearPlan,
     level: usize,
     steps: &BabySteps<'_>,
-    groups: &[(GroupKey, Vec<(RotKey, &Plaintext)>)],
+    groups: &Groups<'_>,
 ) -> Vec<(u32, Ciphertext)> {
     let terms: Vec<Vec<Term<'_>>> = groups
-        .iter()
-        .map(|(_, ts)| ts.iter().map(|&(rk, pt)| (steps.get(rk), pt)).collect())
+        .values()
+        .map(|ts| ts.iter().map(|&(rk, pt)| (steps.get(rk), pt)).collect())
         .collect();
     let slices: Vec<&[Term<'_>]> = terms.iter().map(Vec::as_slice).collect();
     let mut accs: Vec<ExtAccumulator> = groups
-        .iter()
+        .keys()
         .map(|_| ExtAccumulator::new(ctx.eval.context(), level))
         .collect();
     ExtAccumulator::add_groups(&mut accs, ctx.eval, &slices);
-    let jobs: Vec<(GroupKey, ExtAccumulator)> =
-        groups.iter().map(|(key, _)| *key).zip(accs).collect();
+    let jobs: Vec<(GroupKey, ExtAccumulator)> = groups.keys().copied().zip(accs).collect();
     jobs.into_par_iter()
         .map(|((i_blk, j), acc)| {
             let mut part = acc.finalize(ctx.eval);
@@ -474,95 +310,22 @@ fn giant_step_parts(
         .collect()
 }
 
-/// Sums each output block's group parts, rescales, and applies `bias`. An
-/// output block no diagonal touches is `zero()` (an input times the zero
-/// plaintext: encrypt-free).
-fn sum_and_rescale(
-    ctx: &FheLinearContext<'_>,
-    out_blocks: usize,
-    parts: Vec<(u32, Ciphertext)>,
-    zero: impl Fn() -> Ciphertext,
-    bias: impl Fn(usize, Ciphertext) -> Ciphertext,
-) -> Vec<Ciphertext> {
-    let mut out: Vec<Option<Ciphertext>> = vec![None; out_blocks];
-    for (i_blk, part) in parts {
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(&zero);
-            ctx.eval.rescale_assign(&mut ct);
-            bias(i_blk, ct)
-        })
-        .collect()
-}
-
-/// The on-the-fly executors: diagonals from `source`, encoded per chunk of
-/// giant-step groups so at most a pool width of groups' plaintexts is live.
-fn exec_values(
-    ctx: &FheLinearContext<'_>,
-    plan: &LinearPlan,
-    source: &dyn DiagSource,
-    bias: Option<&[Vec<f64>]>,
-    inputs: &[Ciphertext],
-    shared: Option<&SharedRotations>,
-) -> Vec<Ciphertext> {
-    let level = input_level(ctx, plan, inputs);
-    let mut groups: Groups<Vec<f64>> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let mut vals = source.block_diags(plan, i_blk, j_blk);
-        for &k in diags {
-            let Some(d) = vals.remove(&k) else { continue };
-            let (group, rot) = split_diag(plan, i_blk, j_blk, k);
-            groups.entry(group).or_default().push((rot, d));
-        }
-    }
-    let steps = BabySteps::new(ctx, inputs, &groups, shared);
-    let groups: GroupList<Vec<f64>> = groups.into_iter().collect();
-    let mut parts = Vec::with_capacity(groups.len());
-    for chunk in groups.chunks(rayon::current_num_threads()) {
-        let encoded: Vec<Vec<Plaintext>> = chunk
-            .iter()
-            .map(|(_, ts)| {
-                ts.par_iter()
-                    .map(|(_, d)| ctx.enc.encode_at_prime_scale_ws(d, level))
-                    .collect()
-            })
-            .collect();
-        let chunk_terms: GroupList<&Plaintext> = chunk
-            .iter()
-            .zip(&encoded)
-            .map(|((key, ts), pts)| (*key, ts.iter().map(|(rk, _)| *rk).zip(pts).collect()))
-            .collect();
-        parts.extend(giant_step_parts(ctx, plan, level, &steps, &chunk_terms));
-    }
-    let slots = plan.slots;
-    sum_and_rescale(
-        ctx,
-        plan.out_blocks,
-        parts,
-        || {
-            let zero = ctx.enc.encode_at_prime_scale_ws(&vec![0.0; slots], level);
-            ctx.eval.mul_plain(&inputs[0], &zero)
-        },
-        |i_blk, ct| match bias {
-            Some(b) => {
-                let pt = ctx.enc.encode(&b[i_blk], ct.scale, ct.level(), false);
-                ctx.eval.add_plain(&ct, &pt)
-            }
-            None => ct,
-        },
-    )
-}
-
-/// The prepared executors: every diagonal, bias block, and the zero
-/// plaintext come from the setup-time cache.
-fn exec_prepared(
+/// The FHE linear executor: every diagonal, bias block, and the zero
+/// plaintext come from `prepared`; non-zero baby-step rotations come from
+/// `shared` when given, else from one private hoist per input block. The
+/// expensive per-request stages fan out on the shared rayon pool:
+///
+/// 1. the distinct baby-step `rotate_ext` key-switch inner products
+///    (independent per `(input block, baby step)`),
+/// 2. the fused giant-step accumulation of every `(output block, giant
+///    step)` group, split into (limb × element slice) jobs, and
+/// 3. each group's deferred ModDown and giant rotation.
+///
+/// The group parts are then summed per output block in group order,
+/// rescaled and biased. An output block no diagonal touches is an input
+/// times the zero plaintext (encrypt-free). Modular arithmetic is exact, so
+/// the result is the same bits whichever rotation source is used.
+pub fn exec_prepared(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
     prepared: &PreparedLayer,
@@ -574,47 +337,41 @@ fn exec_prepared(
         level, prepared.level,
         "inputs must arrive at the prepared level"
     );
-    let mut groups: Groups<&Plaintext> = BTreeMap::new();
+    let mut groups: Groups<'_> = BTreeMap::new();
     for (&(i_blk, j_blk), diags) in &plan.blocks {
         let Some(block) = prepared.diags.get(&(i_blk, j_blk)) else {
             continue;
         };
         for &k in diags {
             let Some(pt) = block.get(&k) else { continue };
-            let (group, rot) = split_diag(plan, i_blk, j_blk, k);
-            groups.entry(group).or_default().push((rot, pt));
+            let (i, j) = ((k as usize) % plan.n1, (k as usize) / plan.n1);
+            groups.entry((i_blk, j)).or_default().push(((j_blk, i), pt));
         }
     }
     let steps = BabySteps::new(ctx, inputs, &groups, shared);
-    let groups: GroupList<&Plaintext> = groups.into_iter().collect();
-    let parts = giant_step_parts(ctx, plan, level, &steps, &groups);
-    sum_and_rescale(
-        ctx,
-        plan.out_blocks,
-        parts,
-        || ctx.eval.mul_plain(&inputs[0], &prepared.zero),
-        |i_blk, ct| match &prepared.bias {
-            Some(b) => ctx.eval.add_plain(&ct, &b[i_blk]),
-            None => ct,
-        },
-    )
+    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
+    for (i_blk, part) in giant_step_parts(ctx, plan, level, &steps, &groups) {
+        let slot_ref = &mut out[i_blk as usize];
+        *slot_ref = Some(match slot_ref.take() {
+            None => part,
+            Some(prev) => ctx.eval.add(&prev, &part),
+        });
+    }
+    out.into_iter()
+        .enumerate()
+        .map(|(i_blk, o)| {
+            let mut ct = o.unwrap_or_else(|| ctx.eval.mul_plain(&inputs[0], &prepared.zero));
+            ctx.eval.rescale_assign(&mut ct);
+            match &prepared.bias {
+                Some(b) => ctx.eval.add_plain(&ct, &b[i_blk]),
+                None => ct,
+            }
+        })
+        .collect()
 }
 
-/// Executes a plan homomorphically from a [`PreparedLayer`]: identical
-/// math to [`exec_fhe`] (modular arithmetic is exact, so the result is
-/// bit-for-bit the same) but with **zero plaintext encodes** — every
-/// diagonal, bias block, and the zero plaintext come from the setup-time
-/// cache — and with the expensive per-request stages fanned out on the
-/// shared rayon pool:
-///
-/// 1. the distinct baby-step `rotate_ext` key-switch inner products
-///    (independent per `(input block, baby step)`),
-/// 2. the fused giant-step accumulation of every `(output block, giant
-///    step)` group, split into (limb × element slice) jobs, and
-/// 3. each group's deferred ModDown and giant rotation.
-///
-/// This lands the ROADMAP "per-wire (intra-inference) parallel scheduling"
-/// item for linear layers — the dominant cost of a served inference.
+/// [`exec_prepared`] with privately hoisted baby-step rotations — the
+/// serving path, with zero per-request plaintext encodes.
 pub fn exec_fhe_prepared(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
@@ -982,56 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn fhe_unhoisted_matches_hoisted() {
-        // The ablation path must compute the same function.
-        let ctx = Context::new(CkksParams::tiny());
-        let slots = ctx.slots();
-        let mut rng = StdRng::seed_from_u64(21);
-        let in_l = TensorLayout::raster(2, 8, 8);
-        let spec = ConvSpec {
-            co: 2,
-            ci: 2,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            padding: 1,
-            dilation: 1,
-            groups: 1,
-        };
-        let input = random_tensor(&[2, 8, 8], &mut rng);
-        let weights = random_tensor(&[2, 2, 3, 3], &mut rng);
-        let (plan, out_l) = conv_plan(&in_l, &spec, slots);
-        let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(22));
-        let pk = std::sync::Arc::new(kg.gen_public_key());
-        let keys = std::sync::Arc::new(kg.gen_eval_keys(&plan.rotation_steps()));
-        let sk = kg.secret_key();
-        let enc = Encoder::new(ctx.clone());
-        let encryptor = Encryptor::with_public_key(ctx.clone(), pk);
-        let dec = Decryptor::new(ctx.clone(), sk);
-        let eval = Evaluator::new(ctx.clone(), keys);
-        let packed = in_l.pack(input.data());
-        let ct = encryptor.encrypt(&enc.encode(&packed, ctx.scale(), 2, false), &mut rng);
-        let src = ConvDiagSource {
-            in_l,
-            out_l,
-            spec,
-            weights: &weights,
-        };
-        let fhe_ctx = FheLinearContext {
-            eval: &eval,
-            enc: &enc,
-        };
-        let hoisted = exec_fhe(&fhe_ctx, &plan, &src, None, std::slice::from_ref(&ct));
-        let unhoisted = exec_fhe_unhoisted(&fhe_ctx, &plan, &src, &[ct]);
-        let a = enc.decode(&dec.decrypt(&hoisted[0]));
-        let b = enc.decode(&dec.decrypt(&unhoisted[0]));
-        for i in (0..slots).step_by(37) {
-            assert!((a[i] - b[i]).abs() < 2e-2, "slot {i}: {} vs {}", a[i], b[i]);
-        }
-        assert_eq!(hoisted[0].level(), unhoisted[0].level());
-    }
-
-    #[test]
     fn fhe_dense_layer_matches_reference() {
         let ctx = Context::new(CkksParams::tiny());
         let slots = ctx.slots();
@@ -1075,9 +782,9 @@ mod parallel_tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn parallel_blocks_match_sequential() {
-        let mut rng = StdRng::seed_from_u64(77);
+    /// A 3×3 conv spanning 4 input and 4 output blocks at 128 slots, and
+    /// its packed input blocks.
+    fn multi_block_conv(weights: &Tensor) -> (LinearPlan, ConvDiagSource<'_>, Vec<Vec<f64>>) {
         let in_l = TensorLayout::raster(8, 8, 8);
         let spec = ConvSpec {
             co: 8,
@@ -1089,31 +796,50 @@ mod parallel_tests {
             dilation: 1,
             groups: 1,
         };
-        let slots = 128; // 4 in-blocks, 4 out-blocks
+        let slots = 128;
         let (plan, out_l) = conv_plan(&in_l, &spec, slots);
         assert!(plan.out_blocks > 1, "test needs multiple output blocks");
-        let weights = Tensor::from_vec(
-            &[8, 8, 3, 3],
-            (0..576).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-        );
         let src = ConvDiagSource {
             in_l,
             out_l,
             spec,
-            weights: &weights,
+            weights,
         };
         let packed = in_l.pack(&(0..512).map(|i| (i % 17) as f64 * 0.1).collect::<Vec<_>>());
         let mut blocks = vec![vec![0.0; slots]; plan.in_blocks];
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let seq = exec_plain(&plan, &src, &blocks);
-        let par = exec_plain_parallel(&plan, &src, &blocks);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12);
-            }
-        }
+        (plan, src, blocks)
+    }
+
+    fn random_weights() -> Tensor {
+        let mut rng = StdRng::seed_from_u64(77);
+        Tensor::from_vec(
+            &[8, 8, 3, 3],
+            (0..576).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        )
+    }
+
+    #[test]
+    fn parallel_blocks_match_sequential() {
+        let weights = random_weights();
+        let (plan, src, blocks) = multi_block_conv(&weights);
+        let private = exec_plain(&plan, &src, &blocks);
+        let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
+        let shared = shared_rot_plain(&blocks, &rots);
+        let from_shared = exec_plain_with(&plan, &src, &blocks, Some(&shared));
+        assert_eq!(private, from_shared);
+    }
+
+    #[test]
+    #[should_panic(expected = "linear consumer needs a rotation missing from the shared unit")]
+    fn plain_shared_miss_panics_like_ckks() {
+        let weights = random_weights();
+        let (plan, src, blocks) = multi_block_conv(&weights);
+        let mut rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
+        rots.pop().expect("the conv rotates");
+        let shared = shared_rot_plain(&blocks, &rots);
+        exec_plain_with(&plan, &src, &blocks, Some(&shared));
     }
 }

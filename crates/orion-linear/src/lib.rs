@@ -18,13 +18,12 @@
 //!   segment, so plans for ImageNet-scale layers build in milliseconds);
 //! * [`values`] — materializes diagonal plaintext vectors block-by-block
 //!   (only needed by the real-FHE and plan-validation paths);
-//! * [`exec`] — executors: `exec_plain` (cleartext slots through the exact
-//!   plan — the packing correctness oracle), `exec_fhe` (real CKKS with
-//!   hoisted baby steps and lazy-ModDown giant groups, weights encoded on
-//!   the fly) and `exec_fhe_prepared` (the serving path: consumes a
-//!   [`prepared`] cache — zero per-inference encodes — and fans the
-//!   baby-step key switches and giant-step groups out on the shared rayon
-//!   pool);
+//! * [`exec`] — one executor per engine: `exec_plain` (cleartext slots
+//!   through the exact plan — the packing correctness oracle) and
+//!   `exec_prepared` (real CKKS: hoisted baby steps, or a shared
+//!   [`SharedRotations`] set, and lazy-ModDown giant groups over a
+//!   [`prepared`] layer, fanned out on the shared rayon pool). `exec_fhe`
+//!   is the on-the-fly entry: prepare the layer, then run it;
 //! * [`prepared`] — the setup-time weight-encoding cache
 //!   (`PreparedLayer` / `PreparedProgram`, paper §6: weight diagonals as
 //!   offline artifacts), spillable to disk through [`store`];
@@ -42,9 +41,8 @@ pub mod store;
 pub mod values;
 
 pub use exec::{
-    exec_fhe, exec_fhe_prepared, exec_fhe_prepared_shared, exec_fhe_shared, exec_fhe_unhoisted,
-    exec_plain, exec_plain_parallel, exec_plain_parallel_shared, shared_rot_plain,
-    FheLinearContext, SharedRotations,
+    exec_fhe, exec_fhe_prepared, exec_fhe_prepared_shared, exec_plain, exec_plain_with,
+    exec_prepared, shared_rot_plain, FheLinearContext, SharedRotations,
 };
 pub use layout::TensorLayout;
 pub use paged::{LayerSource, PageStats, PagedProgram};

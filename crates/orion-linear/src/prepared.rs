@@ -62,8 +62,7 @@ pub struct PreparedLayer {
 impl PreparedLayer {
     /// Extracts and encodes every diagonal of `plan` once. Extraction fans
     /// out per block pair and encoding per diagonal on the shared rayon
-    /// pool; the result is bit-identical to what the on-the-fly executor
-    /// would encode per request.
+    /// pool. The on-the-fly executor (`exec_fhe`) calls this per request.
     pub fn build(
         enc: &Encoder,
         plan: &LinearPlan,

@@ -19,7 +19,7 @@
 //! * [`crate::backends::TraceBackend`] — exact cleartext semantics with
 //!   FHE-legality enforcement (levels, pending rescales),
 //! * [`crate::backends::PlainBackend`] — the cleartext rotation-algebra
-//!   oracle (`orion_linear::exec_plain_parallel`), validating the packing
+//!   oracle (`orion_linear::exec_plain_with`), validating the packing
 //!   math itself.
 //!
 //! Op-counting is a *decorator*: [`Counting`] wraps any backend and
@@ -31,9 +31,11 @@
 //! a GPU, multi-party, or sharded engine is one trait impl — the
 //! scheduler, the counting, and the placement logic are shared.
 
-use crate::compile::{stage_mult_estimate, Compiled};
+use crate::compile::{stage_mult_estimate, Compiled, Step};
 use crate::sched::{run_plan, ExecPlan, SchedMode};
-use orion_linear::{ConvSpec, LinearPlan, TensorLayout};
+use orion_linear::{
+    BiasValues, ConvDiagSource, ConvSpec, DenseDiagSource, DiagSource, LinearPlan, TensorLayout,
+};
 use orion_sim::counter::OpKind;
 use orion_sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
@@ -79,7 +81,78 @@ pub enum LinearRef<'a> {
     },
 }
 
-impl LinearRef<'_> {
+impl<'a> LinearRef<'a> {
+    /// The linear layer of program step `id`, or `None` if the step is not
+    /// a conv or dense layer.
+    pub fn from_step(id: usize, step: &'a Step) -> Option<Self> {
+        match step {
+            Step::Conv {
+                plan,
+                spec,
+                weight,
+                bias,
+                in_l,
+                out_l,
+            } => Some(LinearRef::Conv {
+                step: id,
+                plan,
+                spec,
+                weight,
+                bias,
+                in_l,
+                out_l,
+            }),
+            Step::Dense {
+                plan,
+                weight,
+                bias,
+                in_l,
+                n_out,
+            } => Some(LinearRef::Dense {
+                step: id,
+                plan,
+                weight,
+                bias,
+                in_l,
+                n_out: *n_out,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The layer's weight diagonals and its bias values, one slot vector
+    /// per output ciphertext block — what the BSGS executors consume.
+    pub fn diags(&self, slots: usize) -> (Box<dyn DiagSource + Sync + 'a>, Vec<Vec<f64>>) {
+        match *self {
+            LinearRef::Conv {
+                spec,
+                weight,
+                bias,
+                in_l,
+                out_l,
+                ..
+            } => (
+                Box::new(ConvDiagSource {
+                    in_l: *in_l,
+                    out_l: *out_l,
+                    spec: *spec,
+                    weights: weight,
+                }),
+                BiasValues::conv(out_l, bias, slots),
+            ),
+            LinearRef::Dense {
+                weight,
+                bias,
+                in_l,
+                n_out,
+                ..
+            } => (
+                Box::new(DenseDiagSource::new(weight.clone(), in_l)),
+                BiasValues::dense(n_out, bias, slots),
+            ),
+        }
+    }
+
     /// The layer's packing plan.
     pub fn plan(&self) -> &LinearPlan {
         match self {
@@ -117,7 +190,7 @@ pub trait EvalBackend {
     type Plaintext;
     /// The engine's shared baby-step rotation artifact (cross-wire
     /// rotation CSE, see [`crate::opt`]): everything
-    /// [`EvalBackend::linear_layer_shared`] needs to skip its private
+    /// [`EvalBackend::linear_layer`] needs to skip its private
     /// per-consumer rotation fan-out. Engines with no rotation algebra
     /// use `()`.
     type SharedRot: Send + Sync;
@@ -193,12 +266,15 @@ pub trait EvalBackend {
     }
 
     /// One packed linear layer over all input ciphertexts at `level`;
-    /// returns the output wire one level lower at exactly scale Δ.
+    /// returns the output wire one level lower at exactly scale Δ. With
+    /// `shared`, the layer reads its non-zero baby-step rotations from that
+    /// artifact instead of rotating privately — bit-identical output.
     fn linear_layer(
         &self,
         layer: &LinearRef<'_>,
         inputs: &[Self::Ciphertext],
         level: usize,
+        shared: Option<&Self::SharedRot>,
     ) -> Vec<Self::Ciphertext>;
 
     /// Computes the distinct **non-zero** baby-step rotations `rots`
@@ -213,17 +289,6 @@ pub trait EvalBackend {
         level: usize,
         rots: &[(u32, usize)],
     ) -> Self::SharedRot;
-
-    /// [`EvalBackend::linear_layer`] reading its non-zero baby-step
-    /// rotations from `shared` instead of rotating privately. Same
-    /// contract: bit-identical output, one level consumed, exact scale Δ.
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[Self::Ciphertext],
-        level: usize,
-        shared: &Self::SharedRot,
-    ) -> Vec<Self::Ciphertext>;
 
     /// Multiplies by `factor ≤ 1` and rescales (activation normalization).
     fn scale_down(&self, ct: &Self::Ciphertext, factor: f64, level: usize) -> Self::Ciphertext;
@@ -608,9 +673,13 @@ impl<B: EvalBackend> EvalBackend for Counting<B> {
         layer: &LinearRef<'_>,
         inputs: &[Self::Ciphertext],
         level: usize,
+        shared: Option<&Self::SharedRot>,
     ) -> Vec<Self::Ciphertext> {
-        self.tally_linear(layer.plan(), layer.step(), level);
-        self.inner.linear_layer(layer, inputs, level)
+        match shared {
+            Some(_) => self.tally_linear_shared(layer.plan(), layer.step(), level),
+            None => self.tally_linear(layer.plan(), layer.step(), level),
+        }
+        self.inner.linear_layer(layer, inputs, level, shared)
     }
 
     fn hoist_rotations(
@@ -636,17 +705,6 @@ impl<B: EvalBackend> EvalBackend for Counting<B> {
             rots.len() as f64 * c.hrot_hoisted(level),
         );
         self.inner.hoist_rotations(cts, level, rots)
-    }
-
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[Self::Ciphertext],
-        level: usize,
-        shared: &Self::SharedRot,
-    ) -> Vec<Self::Ciphertext> {
-        self.tally_linear_shared(layer.plan(), layer.step(), level);
-        self.inner.linear_layer_shared(layer, inputs, level, shared)
     }
 
     fn scale_down(&self, ct: &Self::Ciphertext, factor: f64, level: usize) -> Self::Ciphertext {

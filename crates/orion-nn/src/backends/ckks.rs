@@ -9,14 +9,10 @@
 use crate::backend::{EvalBackend, LinearRef};
 use crate::fhe_exec::FheSession;
 use orion_ckks::encrypt::Ciphertext;
-use orion_linear::exec::{
-    exec_fhe as linear_exec, exec_fhe_prepared, exec_fhe_prepared_shared, exec_fhe_shared,
-    FheLinearContext, SharedRotations,
-};
+use orion_linear::exec::{exec_prepared, FheLinearContext, SharedRotations};
 use orion_linear::paged::LayerSource;
-use orion_linear::prepared::PreparedProgram;
+use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_linear::store::StoreError;
-use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource};
 use orion_poly::eval::{
     evaluate_chebyshev_src, set_level_scale, set_level_scale_src, CachedConsts, ConstSource,
     FreshConsts,
@@ -243,59 +239,37 @@ impl EvalBackend for CkksBackend<'_> {
         &self,
         layer: &LinearRef<'_>,
         inputs: &[Ciphertext],
-        _level: usize,
+        level: usize,
+        shared: Option<&SharedRotations>,
     ) -> Vec<Ciphertext> {
         let s = self.session;
-        let slots = s.ctx.slots();
         let fctx = FheLinearContext {
             eval: &s.eval,
             enc: &s.enc,
         };
-        // Serving path: consume the setup-time cache when this step has
-        // one, faulting it in from disk if the source pages. A failed
-        // fault unwinds with a typed payload (see [`PreparedLayerFault`]).
-        if let Some(src) = self.prepared.as_ref() {
-            match src.fetch_layer(layer.step()) {
-                Ok(Some(p)) => return exec_fhe_prepared(&fctx, layer.plan(), &p, inputs),
-                Ok(None) => {}
-                Err(error) => std::panic::panic_any(PreparedLayerFault {
+        // Serving path: take the setup-time layer when this step has one,
+        // faulting it in from disk if the source pages. A failed fault
+        // unwinds with a typed payload (see [`PreparedLayerFault`]). Any
+        // other step is prepared here, for this one call.
+        let cached = self.prepared.as_ref().and_then(|src| {
+            src.fetch_layer(layer.step()).unwrap_or_else(|error| {
+                std::panic::panic_any(PreparedLayerFault {
                     step: layer.step(),
                     error,
-                }),
-            }
-        }
-        match layer {
-            LinearRef::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => {
-                let src = ConvDiagSource {
-                    in_l: **in_l,
-                    out_l: **out_l,
-                    spec: **spec,
-                    weights: weight,
-                };
-                let bias_blocks = BiasValues::conv(out_l, bias, slots);
-                linear_exec(&fctx, plan, &src, Some(&bias_blocks), inputs)
-            }
-            LinearRef::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => {
-                let src = DenseDiagSource::new((*weight).clone(), in_l);
-                let bias_blocks = BiasValues::dense(*n_out, bias, slots);
-                linear_exec(&fctx, plan, &src, Some(&bias_blocks), inputs)
-            }
-        }
+                })
+            })
+        });
+        let prepared = cached.unwrap_or_else(|| {
+            let (source, bias) = layer.diags(s.ctx.slots());
+            Arc::new(PreparedLayer::build(
+                &s.enc,
+                layer.plan(),
+                &*source,
+                Some(&bias),
+                level,
+            ))
+        });
+        exec_prepared(&fctx, layer.plan(), &prepared, inputs, shared)
     }
 
     fn hoist_rotations(
@@ -310,65 +284,6 @@ impl EvalBackend for CkksBackend<'_> {
             enc: &s.enc,
         };
         SharedRotations::build(&fctx, cts, rots)
-    }
-
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[Ciphertext],
-        _level: usize,
-        shared: &SharedRotations,
-    ) -> Vec<Ciphertext> {
-        let s = self.session;
-        let slots = s.ctx.slots();
-        let fctx = FheLinearContext {
-            eval: &s.eval,
-            enc: &s.enc,
-        };
-        if let Some(src) = self.prepared.as_ref() {
-            match src.fetch_layer(layer.step()) {
-                Ok(Some(p)) => {
-                    return exec_fhe_prepared_shared(&fctx, layer.plan(), &p, inputs, shared)
-                }
-                Ok(None) => {}
-                Err(error) => std::panic::panic_any(PreparedLayerFault {
-                    step: layer.step(),
-                    error,
-                }),
-            }
-        }
-        match layer {
-            LinearRef::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => {
-                let src = ConvDiagSource {
-                    in_l: **in_l,
-                    out_l: **out_l,
-                    spec: **spec,
-                    weights: weight,
-                };
-                let bias_blocks = BiasValues::conv(out_l, bias, slots);
-                exec_fhe_shared(&fctx, plan, &src, Some(&bias_blocks), inputs, shared)
-            }
-            LinearRef::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => {
-                let src = DenseDiagSource::new((*weight).clone(), in_l);
-                let bias_blocks = BiasValues::dense(*n_out, bias, slots);
-                exec_fhe_shared(&fctx, plan, &src, Some(&bias_blocks), inputs, shared)
-            }
-        }
     }
 
     fn scale_down(&self, ct: &Ciphertext, factor: f64, level: usize) -> Ciphertext {

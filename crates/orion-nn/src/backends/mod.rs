@@ -4,7 +4,7 @@
 //! |---|---|---|---|
 //! | [`CkksBackend`] | real RNS-CKKS | double-hoisted BSGS over ciphertexts | encrypted inference |
 //! | [`TraceBackend`] | `f64` slots + level bookkeeping | reference conv/linear | paper-scale modeling |
-//! | [`PlainBackend`] | `f64` slots + level bookkeeping | exact rotation algebra (`exec_plain_parallel`) | packing-math oracle |
+//! | [`PlainBackend`] | `f64` slots + level bookkeeping | exact rotation algebra (`exec_plain_with`) | packing-math oracle |
 //!
 //! All three are `&self` engines driven by the single dataflow scheduler
 //! ([`crate::backend::run_program`] over [`crate::sched`]) and count ops

@@ -1,7 +1,7 @@
 //! [`PlainBackend`]: the cleartext rotation-algebra oracle.
 //!
 //! Linear layers run through the *exact* executor rotation algebra
-//! (`orion_linear::exec_plain_parallel`: hoisted baby steps, pre-rotated
+//! (`orion_linear::exec_plain_with`: hoisted baby steps, pre-rotated
 //! diagonals, giant-step group rotations — fanned out on the shared rayon
 //! pool) instead of the reference convolution, making this engine the
 //! correctness oracle for the packing math end-to-end. Activations are
@@ -13,8 +13,7 @@
 
 use crate::backend::{run_program, Counting, EvalBackend, LinearRef};
 use crate::compile::Compiled;
-use orion_linear::exec::{exec_plain_parallel, exec_plain_parallel_shared, shared_rot_plain};
-use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource};
+use orion_linear::exec::{exec_plain_with, shared_rot_plain};
 use orion_poly::cheb::ChebPoly;
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
@@ -187,46 +186,11 @@ impl EvalBackend for PlainBackend {
         layer: &LinearRef<'_>,
         inputs: &[PlainCiphertext],
         level: usize,
+        shared: Option<&Self::SharedRot>,
     ) -> Vec<PlainCiphertext> {
-        let slots = self.slots;
         let blocks: Vec<Vec<f64>> = inputs.iter().map(|ct| ct.slots.clone()).collect();
-        let (out_blocks, bias_blocks) = match layer {
-            LinearRef::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => {
-                let src = ConvDiagSource {
-                    in_l: **in_l,
-                    out_l: **out_l,
-                    spec: **spec,
-                    weights: weight,
-                };
-                (
-                    exec_plain_parallel(plan, &src, &blocks),
-                    BiasValues::conv(out_l, bias, slots),
-                )
-            }
-            LinearRef::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => {
-                let src = DenseDiagSource::new((*weight).clone(), in_l);
-                (
-                    exec_plain_parallel(plan, &src, &blocks),
-                    BiasValues::dense(*n_out, bias, slots),
-                )
-            }
-        };
-        out_blocks
+        let (source, bias_blocks) = layer.diags(self.slots);
+        exec_plain_with(layer.plan(), &*source, &blocks, shared)
             .into_iter()
             .enumerate()
             .map(|(b, mut block)| {
@@ -251,68 +215,6 @@ impl EvalBackend for PlainBackend {
     ) -> Self::SharedRot {
         let blocks: Vec<Vec<f64>> = cts.iter().map(|ct| ct.slots.clone()).collect();
         shared_rot_plain(&blocks, rots)
-    }
-
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[PlainCiphertext],
-        level: usize,
-        shared: &Self::SharedRot,
-    ) -> Vec<PlainCiphertext> {
-        let slots = self.slots;
-        let blocks: Vec<Vec<f64>> = inputs.iter().map(|ct| ct.slots.clone()).collect();
-        let (out_blocks, bias_blocks) = match layer {
-            LinearRef::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => {
-                let src = ConvDiagSource {
-                    in_l: **in_l,
-                    out_l: **out_l,
-                    spec: **spec,
-                    weights: weight,
-                };
-                (
-                    exec_plain_parallel_shared(plan, &src, &blocks, shared),
-                    BiasValues::conv(out_l, bias, slots),
-                )
-            }
-            LinearRef::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => {
-                let src = DenseDiagSource::new((*weight).clone(), in_l);
-                (
-                    exec_plain_parallel_shared(plan, &src, &blocks, shared),
-                    BiasValues::dense(*n_out, bias, slots),
-                )
-            }
-        };
-        out_blocks
-            .into_iter()
-            .enumerate()
-            .map(|(b, mut block)| {
-                if let Some(bias) = bias_blocks.get(b) {
-                    for (x, &v) in block.iter_mut().zip(bias) {
-                        *x += v;
-                    }
-                }
-                PlainCiphertext {
-                    slots: block,
-                    level: level - 1,
-                }
-            })
-            .collect()
     }
 
     fn scale_down(&self, ct: &PlainCiphertext, factor: f64, level: usize) -> PlainCiphertext {

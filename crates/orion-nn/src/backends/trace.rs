@@ -153,6 +153,7 @@ impl EvalBackend for TraceBackend {
         layer: &LinearRef<'_>,
         inputs: &[TraceCiphertext],
         level: usize,
+        _shared: Option<&Self::SharedRot>,
     ) -> Vec<TraceCiphertext> {
         let slots = self.engine.slots;
         match layer {
@@ -191,16 +192,6 @@ impl EvalBackend for TraceBackend {
         _level: usize,
         _rots: &[(u32, usize)],
     ) -> Self::SharedRot {
-    }
-
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[TraceCiphertext],
-        level: usize,
-        _shared: &Self::SharedRot,
-    ) -> Vec<TraceCiphertext> {
-        self.linear_layer(layer, inputs, level)
     }
 
     fn scale_down(&self, ct: &TraceCiphertext, factor: f64, _level: usize) -> TraceCiphertext {

@@ -9,7 +9,7 @@
 //! level, bootstrap where the policy says, keep every wire at exactly
 //! scale Δ — wire-level units in parallel on the shared pool.
 
-use crate::backend::{run_program, run_program_opt, Counting};
+use crate::backend::{run_program, run_program_opt, Counting, LinearRef};
 use crate::backends::CkksBackend;
 use crate::compile::{Compiled, Step};
 use crate::opt::{OptConfig, OptStats};
@@ -23,7 +23,6 @@ use orion_ckks::params::{CkksParams, Context};
 use orion_ckks::precision::precision_bits;
 use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedActivation, PreparedLayer, PreparedProgram};
-use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource};
 use orion_poly::eval::{evaluate_chebyshev_src, set_level_scale_src, RecordingConsts};
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
@@ -112,43 +111,14 @@ pub fn prepare_program(c: &Compiled, s: &FheSession) -> PreparedProgram {
         let Some(level) = c.placement.levels[id] else {
             continue;
         };
-        match &node.step {
-            Step::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-            } => {
-                let src = ConvDiagSource {
-                    in_l: *in_l,
-                    out_l: *out_l,
-                    spec: *spec,
-                    weights: weight,
-                };
-                let bias_blocks = BiasValues::conv(out_l, bias, slots);
-                prog.insert(
-                    id,
-                    PreparedLayer::build(&s.enc, plan, &src, Some(&bias_blocks), level),
-                );
-            }
-            Step::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-            } => {
-                let src = DenseDiagSource::new(weight.clone(), in_l);
-                let bias_blocks = BiasValues::dense(*n_out, bias, slots);
-                prog.insert(
-                    id,
-                    PreparedLayer::build(&s.enc, plan, &src, Some(&bias_blocks), level),
-                );
-            }
-            _ => {}
-        }
+        let Some(layer) = LinearRef::from_step(id, &node.step) else {
+            continue;
+        };
+        let (source, bias) = layer.diags(slots);
+        prog.insert(
+            id,
+            PreparedLayer::build(&s.enc, layer.plan(), &*source, Some(&bias), level),
+        );
     }
     record_activation_consts(c, s, &mut prog);
     prog

@@ -28,10 +28,6 @@
 //!   spawned). There is no inter-wave barrier, so a long bootstrap no
 //!   longer stalls independent activation chains, and a linear layer's
 //!   prefetch twin fires the moment its trigger completes.
-//! * [`SchedMode::ParallelWaves`] is the retired wave-synchronized walk
-//!   (Kahn's algorithm, one `map_indexed` barrier per frontier), kept
-//!   only as the measurement baseline the sched bench compares the
-//!   event-driven walk against.
 //!
 //! Scheduler order cannot change results: every unit is a pure function
 //! of its input ciphertexts (engines are `&self` and deterministic —
@@ -65,11 +61,6 @@ pub enum SchedMode {
     /// Event-driven execution on the shared rayon pool: completed units
     /// release their successors directly, with no inter-wave barrier.
     Parallel,
-    /// The wave-synchronized frontier walk (each Kahn wave barriers on
-    /// its slowest unit). Superseded by [`SchedMode::Parallel`]; kept as
-    /// the baseline the sched bench measures the event-driven walk
-    /// against.
-    ParallelWaves,
 }
 
 /// What one scheduled unit computes.
@@ -652,51 +643,18 @@ impl<B: EvalBackend> RunState<'_, B> {
                 let (cc, hh, ww) = (prev.layout.c, prev.layout.h, prev.layout.w);
                 *self.out.lock() = Some((Tensor::from_vec(&[cc, hh, ww], raster), cts));
             }
-            Step::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-            } => {
+            other => {
+                let Some(layer) = LinearRef::from_step(id, other) else {
+                    panic!("step {other:?} is not a whole-step unit");
+                };
                 let lv = c.placement.levels[id].expect("linear layer unplaced");
                 let cts = self.take_dropped(self.plan.in_bufs[id][0], lv);
-                let layer = LinearRef::Conv {
-                    step: id,
-                    plan,
-                    spec,
-                    weight,
-                    bias,
-                    in_l,
-                    out_l,
-                };
                 self.store(unit, self.run_linear(unit, &layer, &cts, lv));
             }
-            Step::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-            } => {
-                let lv = c.placement.levels[id].expect("linear layer unplaced");
-                let cts = self.take_dropped(self.plan.in_bufs[id][0], lv);
-                let layer = LinearRef::Dense {
-                    step: id,
-                    plan,
-                    weight,
-                    bias,
-                    in_l,
-                    n_out: *n_out,
-                };
-                self.store(unit, self.run_linear(unit, &layer, &cts, lv));
-            }
-            other => panic!("step {other:?} is not a whole-step unit"),
         }
     }
 
-    /// Runs one linear layer, through the shared-rotation path when the
+    /// Runs one linear layer, reading the shared rotations when the
     /// optimizer attached a [`SharedRotSpec`] to the unit.
     fn run_linear(
         &self,
@@ -705,16 +663,13 @@ impl<B: EvalBackend> RunState<'_, B> {
         cts: &[B::Ciphertext],
         lv: usize,
     ) -> Vec<B::Ciphertext> {
+        let shared = unit.shared_rots.map(|spec| {
+            self.shared_vals[spec]
+                .get()
+                .expect("scheduler dependency violation: shared rotations not ready")
+        });
         orion_telemetry::time_class(orion_telemetry::OpClass::LinearLayer, || {
-            match unit.shared_rots {
-                Some(spec) => {
-                    let shared = self.shared_vals[spec]
-                        .get()
-                        .expect("scheduler dependency violation: shared rotations not ready");
-                    self.backend.linear_layer_shared(layer, cts, lv, shared)
-                }
-                None => self.backend.linear_layer(layer, cts, lv),
-            }
+            self.backend.linear_layer(layer, cts, lv, shared)
         })
     }
 
@@ -799,7 +754,6 @@ pub fn run_plan<B: EvalBackend + Sync>(
             }
         }
         SchedMode::Parallel => run_event_driven(&state),
-        SchedMode::ParallelWaves => run_frontier_waves(&state),
     }
     drop(run_span);
     if let (Some(telem), Some(t0)) = (&state.telem, wall_start) {
@@ -870,7 +824,6 @@ fn report_run(plan: &ExecPlan, c: &Compiled, telem: &RunTelemetry, mode: SchedMo
         mode: match mode {
             SchedMode::Sequential => "sequential",
             SchedMode::Parallel => "parallel",
-            SchedMode::ParallelWaves => "parallel_waves",
         },
         threads: rayon::current_num_threads(),
         units: n,
@@ -964,48 +917,6 @@ fn run_chain<'a, B: EvalBackend + Sync>(
     }
 }
 
-/// The retired wave-synchronized walk (Kahn's algorithm with one barrier
-/// per frontier): every wave waits for its slowest unit before the next
-/// wave starts. Kept only as the measurement baseline for
-/// [`SchedMode::ParallelWaves`] — the sched bench compares the
-/// event-driven walk against it.
-fn run_frontier_waves<B: EvalBackend + Sync>(state: &RunState<'_, B>) {
-    let plan = state.plan;
-    let indeg: Vec<AtomicUsize> = plan
-        .units
-        .iter()
-        .map(|u| AtomicUsize::new(u.deps.len()))
-        .collect();
-    let mut frontier: Vec<usize> = plan
-        .units
-        .iter()
-        .enumerate()
-        .filter(|(_, u)| u.deps.is_empty())
-        .map(|(i, _)| i)
-        .collect();
-    let mut done = 0usize;
-    while !frontier.is_empty() {
-        done += frontier.len();
-        if let Some(t) = &state.telem {
-            for &uid in &frontier {
-                t.mark_ready(uid);
-            }
-        }
-        let released: Vec<Vec<usize>> =
-            orion_math::parallel::map_indexed(frontier.len(), frontier.len() > 1, |i| {
-                let uid = frontier[i];
-                state.run_unit(uid);
-                plan.succs[uid]
-                    .iter()
-                    .copied()
-                    .filter(|&s| indeg[s].fetch_sub(1, Ordering::AcqRel) == 1)
-                    .collect()
-            });
-        frontier = released.into_iter().flatten().collect();
-    }
-    assert_eq!(done, plan.units.len(), "scheduler stalled: cyclic plan?");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_walks_agree_bit_for_bit() {
+    fn both_walks_agree_bit_for_bit() {
         use crate::backends::PlainBackend;
         let mut rng = StdRng::seed_from_u64(11);
         let mut net = Network::new(4, 8, 8);
@@ -1091,18 +1002,10 @@ mod tests {
         assert!(c.placement.boot_count > 0, "want bootstrap units");
         let plan = ExecPlan::build(&c);
         let input = Tensor::from_vec(&[4, 8, 8], (0..256).map(|i| (i % 7) as f64 * 0.1).collect());
-        let runs: Vec<_> = [
-            SchedMode::Sequential,
-            SchedMode::Parallel,
-            SchedMode::ParallelWaves,
-        ]
-        .into_iter()
-        .map(|mode| run_plan(&plan, &c, &PlainBackend::new(&c), &input, mode))
-        .collect();
-        for run in &runs[1..] {
-            assert_eq!(run.output.data(), runs[0].output.data());
-            assert_eq!(run.bootstraps, runs[0].bootstraps);
-        }
+        let [seq, par] = [SchedMode::Sequential, SchedMode::Parallel]
+            .map(|mode| run_plan(&plan, &c, &PlainBackend::new(&c), &input, mode));
+        assert_eq!(par.output.data(), seq.output.data());
+        assert_eq!(par.bootstraps, seq.bootstraps);
     }
 
     #[test]
